@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import log_factorial_table, log_laguerre_nonpos
-from .states import PhotonDistribution
+from .states import _SUM_UPPER_SLACK, PhotonDistribution
 
 __all__ = [
     "DetectorParams",
@@ -33,7 +33,6 @@ __all__ = [
     "suggest_m_max",
 ]
 
-_SUM_UPPER_SLACK = 1e-12
 _SUGGEST_HARD_MARGIN = 4000
 
 
@@ -47,8 +46,10 @@ class DetectorParams:
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.n_noise < 0.0:
-            raise ValueError(f"n_noise must be >= 0, got {self.n_noise}")
+        if not (math.isfinite(self.n_noise) and self.n_noise >= 0.0):
+            raise ValueError(
+                f"n_noise must be finite and >= 0, got {self.n_noise}"
+            )
 
     @property
     def laguerre_arg(self) -> float:
@@ -68,6 +69,12 @@ class CountDistribution:
     def validate(self) -> None:
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
+        bad = np.flatnonzero(~np.isfinite(self.probs))
+        if bad.size:
+            raise ValueError(
+                "count probabilities must be finite, got "
+                f"{self.probs[bad[0]]} at m={bad[0]}"
+            )
         if np.any(self.probs < 0):
             raise ValueError("count probabilities must be nonnegative")
         if float(self.probs.sum()) > 1.0 + _SUM_UPPER_SLACK:
@@ -133,28 +140,27 @@ def response_entry(params: DetectorParams, m: int, n: int) -> float:
 
 
 def _log_laguerre_table(x: float, r_max: int, s_max: int) -> np.ndarray:
-    """Table of ln L_r^s(x) for r = 0..r_max, s = 0..s_max, x <= 0."""
+    """Table of ln L_r^s(x) for r = 0..r_max, s = 0..s_max, x <= 0; column
+    s + 1 is the running log-sum of column s, since L_r^{s+1}(x) =
+    sum_{i<=r} L_i^s(x) (order-sum identity, DLMF 18.18).
+    """
     table = log_factorial_table(r_max + s_max + 1)
     r = np.arange(r_max + 1)[:, None]
     if x == 0.0:
         s = np.arange(s_max + 1)[None, :]
         return table[r + s] - table[r] - table[s]
-    out = np.empty((r_max + 1, s_max + 1))
-    log_neg_x = math.log(-x)
     i = np.arange(r_max + 1)[None, :]
-    power_part = i * log_neg_x - table[i]
-    lower = np.tril(np.ones((r_max + 1, r_max + 1), dtype=bool))
-    for s in range(s_max + 1):
-        log_terms = np.where(
-            lower,
-            table[r + s] - table[r - i] - table[s + i] + power_part,
-            -math.inf,
-        )
-        top = log_terms.max(axis=1)
-        out[:, s] = top + np.log(
-            np.exp(log_terms - top[:, None]).sum(axis=1)
-        )
-    return out
+    log_terms = np.where(
+        i <= r,
+        table[r] - table[r - i] - table[i] + (i * math.log(-x) - table[i]),
+        -math.inf,
+    )
+    top = log_terms.max(axis=1)
+    out = np.empty((s_max + 1, r_max + 1))
+    out[0] = top + np.log(np.exp(log_terms - top[:, None]).sum(axis=1))
+    for s in range(s_max):
+        np.logaddexp.accumulate(out[s], out=out[s + 1])
+    return out.T
 
 
 def build_response(
@@ -164,7 +170,11 @@ def build_response(
 
     Equivalent to filling every entry with :func:`response_entry`; the
     whole matrix shares one Laguerre argument, so the polynomial values
-    are tabulated once and the entries assembled vectorized.
+    are tabulated once and the entries assembled vectorized. The table
+    holds ln L_r^s for r up to min(n_max, m_max) and s up to
+    max(n_max, m_max): order 0 is summed from the series, and each higher
+    order is a running log-sum of the previous one (order-sum identity),
+    so the table costs O(r*s) exp/log evaluations and one table of memory.
     """
     if n_max < 0 or m_max < 0:
         raise ValueError("n_max and m_max must be nonnegative")

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnrecon
 from pnrecon import distio, states
 from pnrecon.cli import main
 from pnrecon.experiment import (
@@ -151,6 +156,40 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InversionOverflowError"
 
+    def test_non_finite_detector_noise_is_2(self, tmp_path, capsys):
+        det = tmp_path / "S.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "nan",
+            "--n-max", "3", "--m-max", "5", "--output", str(det),
+        ) == 2
+        assert not det.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert "n_noise must be finite" in err["message"]
+
+    def test_non_finite_counts_rejected_before_solve(self, tmp_path, capsys):
+        det = tmp_path / "S.json"
+        counts = tmp_path / "P.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--m-max", "5", "--output", str(det),
+        ) == 0
+        counts.write_text("[0.5, 0.2, NaN, 0.1, 0.0, 0.0]")
+        capsys.readouterr()
+        code = run_cli(
+            "reconstruct",
+            "--detector", str(det),
+            "--counts", str(counts),
+            "--events", "1000",
+            "--output", str(tmp_path / "p.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "p.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "reconstruct"
+        assert err["message"] == (
+            "count probabilities must be finite, got nan at m=2"
+        )
+
     def test_invalid_config_payload_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"state": {"kind": "warp"}}))
@@ -158,6 +197,39 @@ class TestExitCodes:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("config", ["thermal_fig1", "spats_fig2"])
+    def test_identical_across_blas_thread_counts(self, tmp_path, config):
+        src = str(Path(pnrecon.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+            )
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "pnrecon.cli", "run",
+                    "--config", config, "--seed", "3", "--output", str(out),
+                ],
+                env=env,
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+            outputs.append(out)
+        names = sorted(p.name for p in outputs[0].iterdir())
+        assert names == sorted(p.name for p in outputs[1].iterdir())
+        assert names
+        for name in names:
+            assert (outputs[0] / name).read_bytes() == (
+                outputs[1] / name
+            ).read_bytes(), name
+
     def test_bundled_config_loads(self):
         config = load_config("thermal_fig1")
         assert config.detector_true.eta == 0.34

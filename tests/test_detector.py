@@ -3,17 +3,22 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pnrecon.detector import (
     CountDistribution,
     DetectorParams,
     _log_entry_m_ge_n,
     _log_entry_m_le_n,
+    _log_laguerre_table,
     build_response,
     forward,
     response_entry,
     suggest_m_max,
 )
+from pnrecon.experiment import load_config
+from pnrecon.special import log_laguerre_nonpos
 from pnrecon.states import fock, thermal
 
 mp.mp.dps = 50
@@ -47,7 +52,7 @@ def entry_oracle(eta, n_noise, m, n):
 
 
 class TestDetectorParams:
-    @pytest.mark.parametrize("eta", [0.0, -0.2, 1.2])
+    @pytest.mark.parametrize("eta", [0.0, -0.2, 1.2, math.nan, math.inf])
     def test_eta_range(self, eta):
         with pytest.raises(ValueError):
             DetectorParams(eta, 0.1)
@@ -55,6 +60,11 @@ class TestDetectorParams:
     def test_noise_range(self):
         with pytest.raises(ValueError):
             DetectorParams(0.5, -0.1)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="finite"):
+            DetectorParams(0.5, noise)
 
     def test_laguerre_arg_sign(self):
         assert DetectorParams(0.34, 0.30).laguerre_arg <= 0
@@ -184,6 +194,58 @@ class TestBuildResponse:
         assert np.all(mat.entries.sum(axis=0) >= 1.0 - 1e-9)
 
 
+def log_rel_diff(a: float, b: float) -> float:
+    """Relative difference of exp(a) and exp(b)."""
+    return abs(math.expm1(a - b))
+
+
+class TestLaguerreTable:
+    """The order-sum table against the scalar series and mpmath."""
+
+    # the assumed detector and (r_max, s_max) = (min, max) of the window
+    # that `run` builds for each bundled config
+    @pytest.mark.parametrize(
+        "config,r_max,s_max",
+        [("thermal_fig1", 321, 702), ("spats_fig2", 255, 276)],
+    )
+    def test_full_window_against_scalar_and_mpmath(self, config, r_max, s_max):
+        params = load_config(config).detector_assumed
+        x = params.laguerre_arg
+        lag = _log_laguerre_table(x, r_max, s_max)
+        assert lag.shape == (r_max + 1, s_max + 1)
+        rng = np.random.default_rng(17)
+        rs = rng.integers(0, r_max + 1, size=200)
+        ss = rng.integers(0, s_max + 1, size=200)
+        corners = [(0, 0), (r_max, 0), (0, s_max), (r_max, s_max)]
+        for r, s in corners + list(zip(rs.tolist(), ss.tolist())):
+            scalar = log_laguerre_nonpos(r, s, x)
+            assert log_rel_diff(lag[r, s], scalar) <= 1e-11, (r, s)
+        for r, s in zip(rs[:20].tolist(), ss[:20].tolist()):
+            exact = mp.log(mp.laguerre(r, s, mp.mpf(x)))
+            assert abs(mp.expm1(mp.mpf(lag[r, s]) - exact)) <= 1e-12, (r, s)
+
+    @given(
+        eta=st.floats(0.05, 1.0),
+        n_noise=st.floats(0.0, 3.0),
+        n_max=st.integers(0, 20),
+        m_max=st.integers(0, 20),
+    )
+    def test_small_windows_property(self, eta, n_noise, n_max, m_max):
+        params = DetectorParams(eta, n_noise)
+        mat = build_response(params, n_max, m_max)
+        sums = mat.entries.sum(axis=0)
+        assert np.all(mat.entries >= 0)
+        assert np.all(sums <= 1.0 + 1e-12)
+        assert np.array_equal(mat.col_tail, np.maximum(0.0, 1.0 - sums))
+        r_max, s_max = min(n_max, m_max), max(n_max, m_max)
+        x = params.laguerre_arg
+        lag = _log_laguerre_table(x, r_max, s_max)
+        for r in range(r_max + 1):
+            for s in range(s_max + 1):
+                scalar = log_laguerre_nonpos(r, s, x)
+                assert log_rel_diff(lag[r, s], scalar) <= 1e-12, (r, s)
+
+
 class TestForward:
     def test_identity_detector(self):
         mat = build_response(DetectorParams(1.0, 0.0), 8, 8)
@@ -259,6 +321,11 @@ class TestCountDistribution:
     def test_oversized_mass_rejected(self):
         with pytest.raises(ValueError):
             CountDistribution(np.array([0.9, 0.2])).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match=r"finite, got .* at m=1"):
+            CountDistribution(np.array([0.5, value, 0.1])).validate()
 
 
 def test_single_cell_window():
