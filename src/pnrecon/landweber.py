@@ -1,15 +1,17 @@
 """Projected Landweber iteration with constraint projection and stopping.
 
-The iteration
+The iteration, in residual form,
 
-    p_j = Proj[ p_{j-1} + chi (S^T counts - S^T S p_{j-1}) ]
+    r_{j-1} = S p_{j-1} - counts,    p_j = Proj[ p_{j-1} - chi S^T r_{j-1} ]
 
 is fixed-step gradient descent on the least-squares misfit, interleaved
 with the exact Euclidean projection onto the constraint set (nonnegativity
-plus an optional support mask). The iteration count acts as the
-regularization parameter: on noisy data the iterates first approach and
-then drift away from the truth, so the solver stops at the noise level
-(discrepancy principle) when a noise estimate is available.
+plus an optional support mask). A step costs one product with S and one
+with S^T, its residual is the one the stopping rules read, and no Gram
+matrix is formed. The iteration count acts as the regularization
+parameter: on noisy data the iterates first approach and then drift away
+from the truth, so the solver stops at the noise level (discrepancy
+principle) when a noise estimate is available.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _largest_eigenvalue(gram: np.ndarray) -> float:
     value = 0.0
     for _ in range(_POWER_MAX_ITERS):
         w = gram @ v
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(w @ w)
         if norm == 0.0:
             raise ValueError("matrix has zero norm; cannot pick a stepsize")
         v = w / norm
@@ -144,11 +146,19 @@ def _largest_eigenvalue(gram: np.ndarray) -> float:
     return value
 
 
+def _sigma_max_sq(matrix: np.ndarray) -> float:
+    """sigma_max(S)^2, from the smaller of S S^T and S^T S: both have the
+    same nonzero spectrum."""
+    rows, cols = matrix.shape
+    return _largest_eigenvalue(
+        matrix @ matrix.T if rows < cols else matrix.T @ matrix
+    )
+
+
 def auto_chi(mat: ResponseMatrix) -> float:
     """Default relaxation parameter 1/sigma_max(S)^2, safely inside the
     convergence interval (0, 2/sigma_max^2)."""
-    gram = mat.entries.T @ mat.entries
-    return 1.0 / _largest_eigenvalue(gram)
+    return 1.0 / _sigma_max_sq(mat.entries)
 
 
 def solve(
@@ -157,9 +167,11 @@ def solve(
     constraints: ConstraintSet = ConstraintSet(None),
     config: LandweberConfig = LandweberConfig(),
 ) -> SolveReport:
-    """Run the projected Landweber iteration from the zero start.
+    """Run the projected Landweber iteration in residual form,
+    r_j = S p_j - counts and p_{j+1} = Proj[p_j - chi S^T r_j], from
+    p_0 = 0 or the projected config.initial.
 
-    Stops at the first of: (a) residual at or below
+    Stops at the first of: (a) ||r_j|| at or below
     discrepancy_tau * noise_level, (b) relative iterate change below
     stagnation_tol, (c) max_iterations. Histories cover every iteration
     actually run.
@@ -180,9 +192,7 @@ def solve(
             f"{cols}-column matrix"
         )
 
-    gram = matrix.T @ matrix
-    back = matrix.T @ data
-    top = _largest_eigenvalue(gram)
+    top = _sigma_max_sq(matrix)
     if config.chi is None:
         chi = 1.0 / top
     else:
@@ -203,25 +213,33 @@ def solve(
                 f"{cols}-column matrix"
             )
 
+    pinned = None if mask is None else np.flatnonzero(~mask)
     residuals = []
     masses = []
     stop_reason = "max_iterations"
     iterations = config.max_iterations
     threshold = config.discrepancy_tau * config.noise_level
+    r = matrix @ p - data
     for j in range(config.max_iterations):
-        update = p + chi * (back - gram @ p)
-        new = project(update, constraints)
-        residual = float(np.linalg.norm(matrix @ new - data))
+        new = p - chi * (matrix.T @ r)
+        np.maximum(new, 0.0, out=new)  # project() in place; pinned -> +0.0
+        if pinned is not None:
+            new[pinned] = 0.0
+        r = matrix @ new - data
+        residual = math.sqrt(r @ r)
         residuals.append(residual)
         masses.append(float(new.sum()))
-        step = float(np.linalg.norm(new - p))
+        stalled = False
+        if config.stagnation_tol > 0.0:
+            step = new - p
+            scale = max(math.sqrt(new @ new), 1e-300)
+            stalled = math.sqrt(step @ step) <= config.stagnation_tol * scale
         p = new
         if config.noise_level > 0.0 and residual <= threshold:
             stop_reason = "discrepancy"
             iterations = j + 1
             break
-        scale = max(float(np.linalg.norm(p)), 1e-300)
-        if config.stagnation_tol > 0.0 and step <= config.stagnation_tol * scale:
+        if stalled:
             stop_reason = "stagnation"
             iterations = j + 1
             break

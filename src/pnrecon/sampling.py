@@ -9,6 +9,7 @@ platforms and library versions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,12 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("events", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.events < 1:
             raise ValueError(f"events must be >= 1, got {self.events}")
         if not (0 <= self.seed < _SEED_LIMIT):

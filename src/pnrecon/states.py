@@ -66,6 +66,7 @@ class PhotonDistribution:
     def validate(self) -> None:
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
+        _require_finite(self.probs)
         if np.any(self.probs < 0):
             raise ValueError("photon probabilities must be nonnegative")
         total = float(self.probs.sum())
@@ -78,6 +79,16 @@ class PhotonDistribution:
     @property
     def n_max(self) -> int:
         return self.probs.size - 1
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """Reject NaN and inf, naming the first offending photon number."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            "photon probabilities must be finite, got "
+            f"{values[bad[0]]} at n={bad[0]}"
+        )
 
 
 def _check_tail(tail: float) -> None:
@@ -199,12 +210,13 @@ def parse_vector(text: str) -> np.ndarray:
 def from_file(path) -> PhotonDistribution:
     """Load and validate a photon-number distribution from a file.
 
-    Rejects negative entries and total mass departing from 1 by more than
-    1e-6. Never renormalizes: a normalization defect signals an upstream
-    mistake the caller has to see.
+    Rejects non-finite and negative entries and total mass departing from
+    1 by more than 1e-6. Never renormalizes: a normalization defect
+    signals an upstream mistake the caller has to see.
     """
     with open(path, encoding="utf-8") as handle:
         values = parse_vector(handle.read())
+    _require_finite(values)
     if np.any(values < 0):
         bad = int(np.argmin(values))
         raise NegativeProbabilityError(

@@ -190,6 +190,46 @@ class TestExitCodes:
             "count probabilities must be finite, got nan at m=2"
         )
 
+    def test_non_finite_photon_vector_rejected_before_forward(
+        self, tmp_path, capsys
+    ):
+        det = tmp_path / "S.json"
+        state = tmp_path / "state.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--output", str(det),
+        ) == 0
+        state.write_text("[0.5, NaN, 0.2]")
+        capsys.readouterr()
+        code = run_cli(
+            "forward",
+            "--detector", str(det),
+            "--state", str(state),
+            "--output", str(tmp_path / "P.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "P.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "forward"
+        assert err["message"] == (
+            "photon probabilities must be finite, got nan at n=1"
+        )
+
+    def test_non_integral_events_rejected_before_run(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        cfg.write_text(
+            json.dumps(
+                {**SMALL_CONFIG, "sampling": {"events": 10.5, "seed": 11}}
+            )
+        )
+        capsys.readouterr()
+        code = run_cli("run", "--config", str(cfg), "--output", str(out))
+        assert code == 2
+        assert not out.exists()  # run_experiment never started
+        err = json.loads(capsys.readouterr().err)
+        assert "events must be an integer, got 10.5" in err["message"]
+
     def test_invalid_config_payload_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"state": {"kind": "warp"}}))
@@ -197,7 +237,9 @@ class TestExitCodes:
 
 
 class TestRunExperiment:
-    @pytest.mark.parametrize("config", ["thermal_fig1", "spats_fig2"])
+    @pytest.mark.parametrize(
+        "config", ["thermal_fig1", "spats_fig2", "cat_fig4"]
+    )
     def test_identical_across_blas_thread_counts(self, tmp_path, config):
         src = str(Path(pnrecon.__file__).resolve().parents[1])
         outputs = []

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +24,44 @@ from pnrecon.landweber import (
 from pnrecon.metrics import relative_error
 from pnrecon.sampling import SamplingConfig, expected_sampling_error, sample_counts
 from pnrecon.states import even_cat, thermal
+
+
+# (state, true detector, assumed detector) of the bundled run configs
+RUN_WINDOWS = {
+    "thermal_fig1": (
+        lambda: thermal(30.0, 1e-10),
+        DetectorParams(0.34, 0.30),
+        DetectorParams(0.35, 0.29),
+    ),
+    "cat_fig4": (
+        lambda: even_cat(23.9, 1e-10),
+        DetectorParams(0.613749, 1.763442),
+        DetectorParams(0.59, 1.77),
+    ),
+}
+
+
+@functools.cache
+def run_window(name):
+    """The assumed-detector matrix and exact counts on a config's window,
+    as ``run`` builds them."""
+    state, true_params, assumed = RUN_WINDOWS[name]
+    dist = state()
+    m_max = suggest_m_max(true_params, dist.n_max, 1e-10)
+    counts = forward(build_response(true_params, dist.n_max, m_max), dist)
+    return build_response(assumed, dist.n_max, m_max), counts
+
+
+def gram_form_reference(entries, data, chi, constraints, initial, steps):
+    """The Gram-form iteration p <- Proj[p + chi (S^T d - S^T S p)]."""
+    gram = entries.T @ entries
+    back = entries.T @ data
+    p = np.zeros(entries.shape[1])
+    if initial is not None:
+        p = project(initial, constraints)
+    for _ in range(steps):
+        p = project(p + chi * (back - gram @ p), constraints)
+    return p
 
 
 def plain_matrix(entries) -> ResponseMatrix:
@@ -83,6 +124,19 @@ class TestAutoChi:
         sigma_max = np.linalg.svd(mat.entries, compute_uv=False)[0]
         assert auto_chi(mat) == pytest.approx(1.0 / sigma_max**2, rel=1e-4)
 
+    @pytest.mark.parametrize("name", ["thermal_fig1", "cat_fig4"])
+    def test_run_windows_against_svd(self, name):
+        # thermal_fig1 is wide (322 x 703), cat_fig4 tall (64 x 61)
+        mat, _ = run_window(name)
+        sigma_max = np.linalg.svd(mat.entries, compute_uv=False)[0]
+        assert auto_chi(mat) == pytest.approx(1.0 / sigma_max**2, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["thermal_fig1", "cat_fig4"])
+    def test_solve_default_chi_is_auto_chi(self, name):
+        mat, counts = run_window(name)
+        report = solve(mat, counts, config=LandweberConfig(max_iterations=1))
+        assert report.chi == auto_chi(mat)
+
 
 class TestSolve:
     def test_identity_fixed_point(self):
@@ -101,15 +155,84 @@ class TestSolve:
     def test_histories_cover_every_iteration(self):
         mat = plain_matrix(np.eye(3))
         counts = CountDistribution(np.array([0.5, 0.25, 0.25]))
-        report = solve(
-            mat,
-            counts,
-            ConstraintSet.nonnegative(),
-            LandweberConfig(chi=0.5, max_iterations=7, stagnation_tol=0.0),
+        for config, reason in [
+            (
+                LandweberConfig(chi=0.5, max_iterations=7, stagnation_tol=0.0),
+                "max_iterations",
+            ),
+            (LandweberConfig(chi=0.5, noise_level=0.01), "discrepancy"),
+            (LandweberConfig(chi=0.5, stagnation_tol=1e-3), "stagnation"),
+        ]:
+            report = solve(mat, counts, ConstraintSet.nonnegative(), config)
+            assert report.stop_reason == reason
+            assert report.iterations_run > 1
+            assert report.residual_history.size == report.iterations_run
+            assert report.normalization_history.size == report.iterations_run
+
+    @pytest.mark.parametrize(
+        "shape", [(30, 40), (40, 30)], ids=["wide", "tall"]
+    )
+    @pytest.mark.parametrize("masked", [False, True], ids=["nonneg", "even"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
+    def test_matches_gram_form_reference(self, shape, masked, warm):
+        rng = np.random.default_rng(17)
+        entries = rng.uniform(0.0, 1.0, size=shape)
+        data = entries @ rng.uniform(0.0, 1.0, size=shape[1])
+        data += rng.normal(0.0, 0.05 * data.std(), size=shape[0])
+        constraints = ConstraintSet(
+            np.arange(shape[1]) % 2 == 0 if masked else None
         )
-        assert report.iterations_run == 7
-        assert report.residual_history.size == 7
-        assert report.normalization_history.size == 7
+        initial = rng.normal(size=shape[1]) if warm else None
+        report = solve(
+            plain_matrix(entries),
+            CountDistribution(data),
+            constraints,
+            LandweberConfig(
+                max_iterations=500, stagnation_tol=0.0, initial=initial
+            ),
+        )
+        expected = gram_form_reference(
+            entries, data, report.chi, constraints, initial, 500
+        )
+        assert report.iterations_run == 500
+        assert np.linalg.norm(report.estimate - expected) <= 1e-12 * (
+            np.linalg.norm(expected)
+        )
+
+    def test_histories_match_recomputed_iterates(self):
+        rng = np.random.default_rng(3)
+        entries = rng.uniform(0.0, 1.0, size=(12, 9))
+        data = rng.uniform(0.0, 1.0, size=12)
+        mat = plain_matrix(entries)
+        constraints = ConstraintSet.even_support(9)
+        full = solve(
+            mat,
+            CountDistribution(data),
+            constraints,
+            LandweberConfig(max_iterations=25, stagnation_tol=0.0),
+        )
+        for j in range(25):
+            p_j = solve(
+                mat,
+                CountDistribution(data),
+                constraints,
+                LandweberConfig(max_iterations=j + 1, stagnation_tol=0.0),
+            ).estimate
+            assert full.residual_history[j] == pytest.approx(
+                np.linalg.norm(entries @ p_j - data), rel=1e-12
+            )
+            assert full.normalization_history[j] == p_j.sum()
+
+    def test_thermal_window_holds_no_gram(self):
+        # the n x n Gram of this 322 x 703 window alone is 3.95 MB
+        mat, counts = run_window("thermal_fig1")
+        tracemalloc.start()
+        try:
+            solve(mat, counts, config=LandweberConfig(max_iterations=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_iterates_respect_constraints(self):
         dist = thermal(4, 1e-8)

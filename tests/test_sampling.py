@@ -57,6 +57,20 @@ class TestSamplingConfig:
         with pytest.raises(ValueError):
             SamplingConfig(events=10, seed=2**64)
 
+    @pytest.mark.parametrize(
+        "events, seed",
+        [(10.5, 0), (10.0, 0), (True, 0), ("10", 0), (10, 1.5)],
+    )
+    def test_non_integral_rejected(self, events, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SamplingConfig(events=events, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        config = SamplingConfig(events=np.int64(10), seed=np.uint64(3))
+        assert sample_counts(
+            CountDistribution(np.array([0.5, 0.5])), config
+        ).probs.sum() == pytest.approx(1.0)
+
 
 class TestSampleCounts:
     def test_degenerate_distribution_is_exact(self):

@@ -171,6 +171,13 @@ class TestFromFile:
         with pytest.raises(ParseError):
             from_file(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "inf"])
+    def test_non_finite_rejected(self, tmp_path, token):
+        path = tmp_path / "d.txt"
+        path.write_text(f"0.5, {token}, 0.5")
+        with pytest.raises(ValueError, match="finite, got .* at n=1"):
+            from_file(path)
+
 
 class TestPhotonDistributionValidate:
     def test_negative_rejected(self):
@@ -181,4 +188,13 @@ class TestPhotonDistributionValidate:
     def test_mass_window_enforced(self):
         dist = PhotonDistribution(np.array([0.5, 0.4]), 1e-12)
         with pytest.raises(ValueError):
+            dist.validate()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        dist = PhotonDistribution(np.array([0.5, 0.2, bad, 0.3]), 0.0)
+        with pytest.raises(
+            ValueError,
+            match=f"photon probabilities must be finite, got {bad} at n=2",
+        ):
             dist.validate()
