@@ -86,7 +86,7 @@ def _cmd_build_detector(args) -> int:
 def _cmd_forward(args) -> int:
     mat = distio.read_matrix(args.detector)
     values, _ = distio.read_distribution(args.state)
-    states._require_finite(values)
+    states._require_probabilities(values)
     photon = states.PhotonDistribution(values, max(0.0, 1.0 - float(values.sum())))
     counts = forward(mat, photon)
     distio.write_distribution(args.output, counts.probs, fmt=args.format)

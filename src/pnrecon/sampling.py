@@ -4,12 +4,15 @@ Draws independent categorical samples by inverse-CDF lookup on a uniform
 stream derived from the PCG64 bit generator. The uniform mapping is pinned
 here explicitly (top 53 bits of each 64-bit word), so the sample stream is
 fully specified by (distribution, events, seed) and reproduces across
-platforms and library versions.
+platforms and library versions. Events are drawn in fixed chunks of one
+sequential stream, so memory stays bounded and the counts do not depend
+on the chunk size.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
 GENERATOR_NAME = "pcg64"
 
 _SEED_LIMIT = 2**64
+_CHUNK_EVENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -48,10 +52,13 @@ class SamplingConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def _uniform_stream(seed: int, count: int) -> np.ndarray:
-    """Uniforms in [0, 1) from the raw PCG64 output: u = (word >> 11) / 2^53."""
-    raw = np.random.PCG64(seed).random_raw(count)
-    return (raw >> np.uint64(11)) * 2.0**-53
+def _uniform_stream(seed: int, count: int) -> Iterator[np.ndarray]:
+    """Uniforms in [0, 1) from the raw PCG64 output: u = (word >> 11) / 2^53,
+    yielded in successive chunks of at most _CHUNK_EVENTS."""
+    bitgen = np.random.PCG64(seed)
+    for start in range(0, count, _CHUNK_EVENTS):
+        raw = bitgen.random_raw(min(_CHUNK_EVENTS, count - start))
+        yield (raw >> np.uint64(11)) * 2.0**-53
 
 
 def sample_counts(
@@ -75,9 +82,10 @@ def sample_counts(
         raise ValueError("invalid distribution: total mass is zero")
     cdf = np.cumsum(probs / total)
     cdf[-1] = 1.0  # close the window so every u < 1 lands inside
-    uniforms = _uniform_stream(config.seed, config.events)
-    draws = np.searchsorted(cdf, uniforms, side="right")
-    counts = np.bincount(draws, minlength=probs.size)
+    counts = np.zeros(probs.size, dtype=np.intp)
+    for uniforms in _uniform_stream(config.seed, config.events):
+        draws = np.searchsorted(cdf, uniforms, side="right")
+        counts += np.bincount(draws, minlength=probs.size)
     return CountDistribution(counts / config.events)
 
 

@@ -66,9 +66,7 @@ class PhotonDistribution:
     def validate(self) -> None:
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
-        _require_finite(self.probs)
-        if np.any(self.probs < 0):
-            raise ValueError("photon probabilities must be nonnegative")
+        _require_probabilities(self.probs)
         total = float(self.probs.sum())
         if not (1.0 - self.truncation_tail <= total <= 1.0 + _SUM_UPPER_SLACK):
             raise ValueError(
@@ -81,13 +79,19 @@ class PhotonDistribution:
         return self.probs.size - 1
 
 
-def _require_finite(values: np.ndarray) -> None:
-    """Reject NaN and inf, naming the first offending photon number."""
+def _require_probabilities(values: np.ndarray) -> None:
+    """Reject non-finite photon probabilities (naming the first) and
+    negative ones (naming the most negative)."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(
             "photon probabilities must be finite, got "
             f"{values[bad[0]]} at n={bad[0]}"
+        )
+    if np.any(values < 0):
+        bad = int(np.argmin(values))
+        raise NegativeProbabilityError(
+            f"negative probability {float(values[bad])!r} at index {bad}"
         )
 
 
@@ -216,12 +220,7 @@ def from_file(path) -> PhotonDistribution:
     """
     with open(path, encoding="utf-8") as handle:
         values = parse_vector(handle.read())
-    _require_finite(values)
-    if np.any(values < 0):
-        bad = int(np.argmin(values))
-        raise NegativeProbabilityError(
-            f"negative probability {values[bad]!r} at index {bad}"
-        )
+    _require_probabilities(values)
     total = float(values.sum())
     if abs(total - 1.0) > _FILE_SUM_TOL:
         raise SumDeviationError(

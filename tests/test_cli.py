@@ -215,6 +215,58 @@ class TestExitCodes:
             "photon probabilities must be finite, got nan at n=1"
         )
 
+    def test_negative_photon_vector_rejected_before_forward(
+        self, tmp_path, capsys
+    ):
+        det = tmp_path / "S.json"
+        state = tmp_path / "state.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--output", str(det),
+        ) == 0
+        state.write_text("[0.5, -0.1, 0.6]")
+        capsys.readouterr()
+        code = run_cli(
+            "forward",
+            "--detector", str(det),
+            "--state", str(state),
+            "--output", str(tmp_path / "P.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "P.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "forward"
+        assert err["error"] == "NegativeProbabilityError"
+        assert err["message"] == "negative probability -0.1 at index 1"
+
+    def test_non_finite_matrix_rejected_before_solve(self, tmp_path, capsys):
+        det = tmp_path / "S.json"
+        counts = tmp_path / "P.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--m-max", "5", "--output", str(det),
+        ) == 0
+        payload = json.loads(det.read_text())
+        payload["entries"][4][2] = float("nan")
+        det.write_text(json.dumps(payload))  # json writes the NaN token
+        distio.write_distribution(counts, [0.5, 0.2, 0.2, 0.1, 0.0, 0.0])
+        capsys.readouterr()
+        code = run_cli(
+            "reconstruct",
+            "--detector", str(det),
+            "--counts", str(counts),
+            "--events", "1000",
+            "--output", str(tmp_path / "p.json"),
+            "--report", str(tmp_path / "report.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "p.json").exists()
+        assert not (tmp_path / "report.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "reconstruct"
+        assert err["error"] == "ParseError"
+        assert "non-finite entry nan at (m, n) = (4, 2)" in err["message"]
+
     def test_non_integral_events_rejected_before_run(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "out"

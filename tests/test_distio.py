@@ -2,10 +2,162 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pnrecon import distio
 from pnrecon.detector import DetectorParams, build_response
 from pnrecon.states import ParseError
+
+
+# Reference serializer: the per-element formatter the bulk path replaced,
+# copied verbatim apart from its name. Every file must keep its bytes.
+def _format_float(value: float) -> str:
+    if not np.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite value {value!r}")
+    return format(value, ".17g")
+
+
+def _reference_dumps(obj, indent: int = 0) -> str:
+    """Serialize to JSON with fixed float formatting (17 significant
+    digits) and stable key order (insertion order preserved)."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(str(key))}: {_reference_dumps(value, indent + 2)}"
+            for key, value in obj.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [f"{inner}{_reference_dumps(value, indent + 2)}" for value in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_csv(values) -> str:
+    return "\n".join(_format_float(v) for v in values) + "\n"
+
+
+def _reference_plot_table(columns: dict) -> str:
+    names = list(columns)
+    arrays = [np.asarray(columns[name], dtype=float) for name in names]
+    length = max(arr.size for arr in arrays)
+    rows = [",".join(["n"] + names)]
+    for i in range(length):
+        cells = [str(i)]
+        for arr in arrays:
+            cells.append(_format_float(arr[i]) if i < arr.size else "0")
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, 1e-300, 1e308, 1e22, 1.0, -3.0, 2.0**53,
+    0.1 + 0.2, 1 / 3, -7.2100363175189720031e-25,
+]
+finite_floats = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6).map(float),
+)
+float_arrays = hnp.arrays(
+    np.float64,
+    st.one_of(
+        hnp.array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=12),
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+    ),
+    elements=finite_floats,
+)
+payloads = st.recursive(
+    float_arrays | finite_floats | st.integers() | st.text(max_size=4)
+    | st.booleans() | st.none(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestBulkFormattingMatchesReference:
+    @given(float_arrays)
+    def test_arrays(self, values):
+        assert distio.dumps(values) == _reference_dumps(values)
+
+    @given(payloads)
+    def test_nested_payloads(self, payload):
+        assert distio.dumps(payload) == _reference_dumps(payload)
+
+    @given(hnp.arrays(np.float64, st.integers(0, 20), elements=finite_floats))
+    def test_csv(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        distio.write_distribution(path, values, fmt="csv")
+        assert path.read_text(encoding="utf-8") == _reference_csv(values)
+
+    @given(
+        st.lists(
+            hnp.arrays(np.float64, st.integers(0, 8), elements=finite_floats),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_plot_table(self, tmp_path_factory, arrays):
+        columns = {f"c{j}": arr for j, arr in enumerate(arrays)}
+        path = tmp_path_factory.mktemp("plot") / "plot.csv"
+        distio.write_plot_table(path, columns)
+        assert path.read_text(encoding="utf-8") == _reference_plot_table(
+            columns
+        )
+
+    def test_response_matrix_file(self, tmp_path):
+        mat = build_response(DetectorParams(0.77, 0.75), 40, 30)
+        path = tmp_path / "S.json"
+        distio.write_matrix(path, mat)
+        expected = _reference_dumps(
+            {
+                "eta": 0.77,
+                "n_noise": 0.75,
+                "n_max": 40,
+                "m_max": 30,
+                "entries": mat.entries,
+            }
+        )
+        assert path.read_text(encoding="utf-8") == expected + "\n"
+
+
+class TestNonFiniteArrays:
+    def test_vector_names_value_and_index(self):
+        with pytest.raises(ValueError, match=r"value nan at index 2$"):
+            distio.dumps({"p": np.array([0.5, 0.25, np.nan, np.inf])})
+
+    def test_matrix_names_row_and_column(self):
+        values = np.zeros((3, 4))
+        values[1, 3] = -np.inf
+        with pytest.raises(ValueError, match=r"value -inf at index 1, 3$"):
+            distio.dumps({"entries": values})
+
+    def test_csv(self, tmp_path):
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match=r"value inf at index 1$"):
+            distio.write_distribution(path, [0.5, np.inf], fmt="csv")
+
+    def test_plot_table(self, tmp_path):
+        with pytest.raises(ValueError, match=r"value nan at index 2, 1$"):
+            distio.write_plot_table(
+                tmp_path / "plot.csv",
+                {"a": np.zeros(4), "b": np.array([0.1, 0.2, np.nan])},
+            )
 
 
 class TestDumps:
@@ -85,6 +237,16 @@ class TestMatrixFiles:
             ' "entries": [[1.0, 0.0, 0.0]]}'
         )
         with pytest.raises(ParseError):
+            distio.read_matrix(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_rejected(self, tmp_path, token):
+        path = tmp_path / "S.json"
+        path.write_text(
+            '{"eta": 0.5, "n_noise": 0.0, "n_max": 2, "m_max": 1,'
+            f' "entries": [[1.0, 0.5, 0.25], [0.0, 0.5, {token}]]}}'
+        )
+        with pytest.raises(ParseError, match=r"at \(m, n\) = \(1, 2\)"):
             distio.read_matrix(path)
 
     def test_garbage_rejected(self, tmp_path):

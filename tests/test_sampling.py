@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pnrecon.detector import (
 )
 from pnrecon.metrics import relative_error
 from pnrecon.sampling import (
+    _CHUNK_EVENTS,
     GENERATOR_NAME,
     SamplingConfig,
     expected_sampling_error,
@@ -34,7 +37,7 @@ def test_raw_stream_reference_vector():
     ]
     from pnrecon.sampling import _uniform_stream
 
-    uniforms = _uniform_stream(0, 4)
+    uniforms = np.concatenate(list(_uniform_stream(0, 4)))
     assert uniforms.tolist() == [
         (r >> 11) * 2.0**-53 for r in raw.tolist()
     ]
@@ -155,6 +158,51 @@ class TestSampleCounts:
         got = sample_counts(dist, SamplingConfig(events=100_000, seed=8))
         assert got.probs.sum() == pytest.approx(1.0)
         assert got.probs[0] == pytest.approx(0.5, abs=0.01)
+
+
+def _one_shot_counts(probs: np.ndarray, events: int, seed: int) -> np.ndarray:
+    """Reference sampler: the whole uniform stream drawn in one call."""
+    raw = np.random.PCG64(seed).random_raw(events)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, (raw >> np.uint64(11)) * 2.0**-53, side="right")
+    return np.bincount(draws, minlength=probs.size) / events
+
+
+class TestChunkedStream:
+    @pytest.mark.parametrize(
+        "events",
+        [1, _CHUNK_EVENTS - 1, _CHUNK_EVENTS, _CHUNK_EVENTS + 1,
+         3 * _CHUNK_EVENTS + 5],
+    )
+    def test_matches_one_shot_reference(self, events):
+        probs = thermal(3.0, 1e-6).probs
+        got = sample_counts(
+            CountDistribution(probs), SamplingConfig(events=events, seed=19)
+        )
+        assert np.array_equal(got.probs, _one_shot_counts(probs, events, 19))
+
+    def test_chunks_concatenate_to_the_one_shot_stream(self):
+        from pnrecon.sampling import _uniform_stream
+
+        events = 2 * _CHUNK_EVENTS + 3
+        chunks = list(_uniform_stream(5, events))
+        assert [c.size for c in chunks] == [_CHUNK_EVENTS, _CHUNK_EVENTS, 3]
+        raw = np.random.PCG64(5).random_raw(events)
+        assert np.array_equal(
+            np.concatenate(chunks), (raw >> np.uint64(11)) * 2.0**-53
+        )
+
+    def test_memory_does_not_grow_with_events(self):
+        # one-shot sampling of 2e6 events holds about 48 MB at once
+        dist = CountDistribution(thermal(3.0, 1e-6).probs)
+        tracemalloc.start()
+        try:
+            sample_counts(dist, SamplingConfig(events=2_000_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestExpectedSamplingError:
