@@ -20,21 +20,21 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__, distio, states
-from .detector import (
-    CountDistribution,
-    DetectorParams,
-    build_response,
-    forward,
-    suggest_m_max,
+from .detector import DetectorParams, build_response, forward, suggest_m_max
+from .experiment import (
+    ConfigError,
+    build_state,
+    bundled_config_names,
+    constraint_set,
+    load_config,
+    run_experiment,
+    solver_config,
 )
-from .experiment import ConfigError, bundled_config_names, load_config, run_experiment
 from .inversion import direct_reconstruct
-from .landweber import ConstraintSet, LandweberConfig, solve
+from .landweber import solve
 from .metrics import normalization_defect, relative_error, relative_residual
-from .sampling import GENERATOR_NAME, SamplingConfig, expected_sampling_error, sample_counts
+from .sampling import GENERATOR_NAME, SamplingConfig, sample_counts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,19 +51,9 @@ def _emit_error(stage: str, exc: Exception) -> None:
 
 
 def _cmd_gen_state(args) -> int:
-    if args.kind in ("thermal", "spats"):
-        if args.mean is None:
-            raise ConfigError(f"--mean is required for {args.kind}")
-        builder = states.thermal if args.kind == "thermal" else states.spats
-        dist = builder(args.mean, args.tail)
-    elif args.kind == "even-cat":
-        if args.alpha_sq is None:
-            raise ConfigError("--alpha-sq is required for even-cat")
-        dist = states.even_cat(args.alpha_sq, args.tail)
-    else:
-        if args.n is None:
-            raise ConfigError("--n is required for fock")
-        dist = states.fock(args.n)
+    flags = dict(mean_n=args.mean, alpha_sq=args.alpha_sq, n=args.n, tail=args.tail)
+    spec = {key: value for key, value in flags.items() if value is not None}
+    dist = build_state({"kind": args.kind.replace("-", "_"), **spec})
     distio.write_distribution(args.output, dist.probs, fmt=args.format)
     print(
         f"wrote {args.output} (n_max={dist.n_max}, "
@@ -115,39 +105,19 @@ def _cmd_sample(args) -> int:
 def _cmd_reconstruct(args) -> int:
     mat = distio.read_matrix(args.detector)
     counts, metadata = distio.read_counts(args.counts)
-    noise = args.noise_level
-    if noise is None:
-        events = args.events or metadata.get("nu")
-        noise = (
-            expected_sampling_error(counts, int(events)) if events else 0.0
-        )
-    chi = None if args.chi in (None, "auto") else float(args.chi)
-    config = LandweberConfig(
-        chi=chi,
-        max_iterations=args.max_iterations,
-        discrepancy_tau=args.tau,
-        noise_level=noise,
-        stagnation_tol=args.stagnation_tol,
-    )
-    constraints = (
-        ConstraintSet.even_support(mat.n_max + 1)
-        if args.even_support
-        else ConstraintSet.nonnegative()
-    )
-    report = solve(mat, counts, constraints, config)
+    options = {
+        "chi": None if args.chi == "auto" else args.chi,
+        "max_iterations": args.max_iterations,
+        "discrepancy_tau": args.tau,
+        "noise_level": args.noise_level,
+        "stagnation_tol": args.stagnation_tol,
+    }
+    events = metadata.get("nu") if args.events is None else args.events
+    constraints = constraint_set("even" if args.even_support else None, mat.n_max + 1)
+    report = solve(mat, counts, constraints, solver_config(options, counts, events))
     distio.write_distribution(args.output, report.estimate, fmt=args.format)
     if args.report:
-        distio.write_json(
-            args.report,
-            {
-                "estimate": report.estimate,
-                "iterations_run": report.iterations_run,
-                "stop_reason": report.stop_reason,
-                "chi": report.chi,
-                "residual_history": report.residual_history,
-                "normalization_history": report.normalization_history,
-            },
-        )
+        distio.write_json(args.report, report.as_dict())
     print(
         f"wrote {args.output} (iterations={report.iterations_run}, "
         f"stop={report.stop_reason})"
@@ -214,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean", type=float, help="mean occupation (thermal, spats)")
     p.add_argument("--alpha-sq", type=float, help="|alpha|^2 (even-cat)")
     p.add_argument("--n", type=int, help="photon number (fock)")
-    p.add_argument("--tail", type=float, default=1e-10)
+    p.add_argument("--tail", type=float, help="tail mass (thermal, spats, even-cat)")
     p.add_argument("--output", required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_gen_state)
@@ -249,16 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--report", help="also write the solver report JSON here")
     p.add_argument("--chi", default="auto")
-    p.add_argument("--max-iterations", type=int, default=100_000)
-    p.add_argument("--tau", type=float, default=1.1)
-    p.add_argument("--noise-level", type=float, default=None)
+    p.add_argument("--max-iterations", type=int)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--noise-level", type=float)
     p.add_argument(
         "--events",
         type=int,
         default=None,
         help="sampling events behind the counts; sets the noise estimate",
     )
-    p.add_argument("--stagnation-tol", type=float, default=1e-9)
+    p.add_argument("--stagnation-tol", type=float)
     p.add_argument("--even-support", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_reconstruct)

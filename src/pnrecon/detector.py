@@ -208,21 +208,24 @@ def build_response(
     return ResponseMatrix(entries, params, col_tail)
 
 
+def zero_pad(values, size: int, name: str, limit: str) -> np.ndarray:
+    """``values`` as a float vector zero-padded to ``size``; a longer
+    vector raises ValueError naming it (``name``) and the ``limit``."""
+    values = np.asarray(values, dtype=float)
+    if values.size > size:
+        raise ValueError(
+            f"{name} of length {values.size} exceeds {limit} {size}"
+        )
+    return np.pad(values, (0, size - values.size))
+
+
 def forward(mat: ResponseMatrix, p: PhotonDistribution) -> CountDistribution:
     """Apply the forward map: counts[m] = sum_n S[m|n] p[n].
 
     The photon vector may be shorter than the matrix column count; it is
     zero-padded. A longer vector is a dimension mismatch.
     """
-    probs = np.asarray(p.probs, dtype=float)
-    width = mat.n_max + 1
-    if probs.size > width:
-        raise ValueError(
-            f"photon vector of length {probs.size} exceeds matrix "
-            f"columns {width}"
-        )
-    if probs.size < width:
-        probs = np.pad(probs, (0, width - probs.size))
+    probs = zero_pad(p.probs, mat.n_max + 1, "photon vector", "matrix columns")
     return CountDistribution(mat.entries @ probs)
 
 

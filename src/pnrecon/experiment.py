@@ -12,6 +12,7 @@ version.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,26 +32,97 @@ from .sampling import GENERATOR_NAME, SamplingConfig, expected_sampling_error, s
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "build_state",
+    "constraint_set",
     "run_experiment",
     "bundled_config_names",
     "load_config",
+    "solver_config",
 ]
 
-_STATE_BUILDERS = {
-    "thermal": lambda args: states.thermal(
-        args["mean_n"], args.get("tail", 1e-10)
-    ),
-    "spats": lambda args: states.spats(args["mean_n"], args.get("tail", 1e-10)),
-    "even_cat": lambda args: states.even_cat(
-        args["alpha_sq"], args.get("tail", 1e-10)
-    ),
-    "fock": lambda args: states.fock(args["n"]),
-    "file": lambda args: states.from_file(args["path"]),
-}
+# state kinds; each names its builder in ``states`` ("file": from_file)
+_STATE_KINDS = ("thermal", "spats", "even_cat", "fock", "file")
+
+# solver option -> its type in LandweberConfig
+_SOLVER_OPTIONS = dict(
+    chi=float, discrepancy_tau=float, noise_level=float, stagnation_tol=float,
+    max_iterations=int,
+)
 
 
 class ConfigError(ValueError):
     """An experiment config is missing, malformed, or inconsistent."""
+
+
+def _state_call(spec: dict):
+    """The builder a state spec names (looked up at call time) and the
+    spec's other keys bound to its parameters."""
+    args = dict(spec)
+    kind = args.pop("kind", None)
+    if kind not in _STATE_KINDS:
+        raise ConfigError(
+            f"unknown state kind {kind!r}; expected one of {sorted(_STATE_KINDS)}"
+        )
+    builder = getattr(states, "from_file" if kind == "file" else kind)
+    try:
+        return builder, inspect.signature(builder).bind(**args)
+    except TypeError as exc:
+        raise ConfigError(f"invalid state {kind!r}: {exc}") from exc
+
+
+def build_state(spec: dict) -> states.PhotonDistribution:
+    """The photon distribution a state spec describes, e.g.
+    ``{"kind": "thermal", "mean_n": 30.0, "tail": 1e-10}``."""
+    builder, bound = _state_call(spec)
+    try:
+        return builder(*bound.args, **bound.kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"invalid state {spec}: {exc}") from exc
+
+
+def solver_config(options: dict, counts=None, events=None) -> LandweberConfig:
+    """LandweberConfig from solver options; an option that is absent or
+    None takes the LandweberConfig default, except that noise_level
+    defaults to expected_sampling_error(counts, events) given events."""
+    try:
+        kwargs = {
+            key: _SOLVER_OPTIONS[key](value)
+            for key, value in options.items()
+            if value is not None
+        }
+        if "noise_level" not in kwargs and events is not None:
+            SamplingConfig(events)  # checks that events is an integer >= 1
+            kwargs["noise_level"] = expected_sampling_error(counts, events)
+        return LandweberConfig(**kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid solver config: {exc}") from exc
+
+
+def _check_support(support) -> None:
+    if support not in (None, "even") and not (
+        isinstance(support, list) and all(type(n) is int and n >= 0 for n in support)
+    ):
+        raise ConfigError(
+            'constraints.support must be null, "even" or a list of photon '
+            f"numbers, got {support!r}"
+        )
+
+
+def constraint_set(support, size: int) -> ConstraintSet:
+    """Constraints on photon numbers 0..size-1 for constraints.support:
+    nonnegativity (None), plus zeros at odd n ("even") or off a list."""
+    _check_support(support)
+    if support is None:
+        return ConstraintSet.nonnegative()
+    if support == "even":
+        return ConstraintSet.even_support(size)
+    if max(support, default=0) >= size:
+        raise ConfigError(
+            f"support photon number {max(support)} is outside 0..{size - 1}"
+        )
+    mask = np.zeros(size, dtype=bool)
+    mask[support] = True
+    return ConstraintSet(mask)
 
 
 @contextmanager
@@ -88,12 +160,7 @@ class ExperimentConfig:
         data = json.loads(json.dumps(payload))  # deep copy, JSON-clean
         try:
             state = dict(data["state"])
-            kind = state.get("kind")
-            if kind not in _STATE_BUILDERS:
-                raise ConfigError(
-                    f"unknown state kind {kind!r}; expected one of "
-                    f"{sorted(_STATE_BUILDERS)}"
-                )
+            _state_call(state)  # kind and keys; run_experiment builds it
             det_true = DetectorParams(**data["detector_true"])
             det_assumed = DetectorParams(**data["detector_assumed"])
             if data.get("sampling") is None:
@@ -111,20 +178,22 @@ class ExperimentConfig:
                     sampling_args["seed"] = int(seed)
                     data["sampling"] = sampling_args
                 sampling = SamplingConfig(**sampling_args)
+            solver = dict(data.get("solver", {}))
+            solver_config(solver)
+            support = dict(data.get("constraints", {})).get("support")
+            _check_support(support)
+            window_tail = float(data.get("window_tail", 1e-10))
+            if not (0.0 < window_tail < 1.0):
+                raise ConfigError(f"window_tail must be in (0, 1), got {window_tail}")
+            m_max = data.get("m_max")
+            if m_max is not None:
+                m_max = int(m_max)
+                if m_max < 0:
+                    raise ConfigError("m_max must be nonnegative")
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
-        solver = dict(data.get("solver", {}))
-        support = data.get("constraints", {}).get("support")
-        window_tail = float(data.get("window_tail", 1e-10))
-        if not (0.0 < window_tail < 1.0):
-            raise ConfigError(f"window_tail must be in (0, 1), got {window_tail}")
-        m_max = data.get("m_max")
-        if m_max is not None:
-            m_max = int(m_max)
-            if m_max < 0:
-                raise ConfigError("m_max must be nonnegative")
         return cls(
             name=str(data.get("name", "experiment")),
             state=state,
@@ -142,36 +211,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def solver_config(self, noise_level: float) -> LandweberConfig:
-        options = self.solver
-        explicit = options.get("noise_level")
-        try:
-            return LandweberConfig(
-                chi=options.get("chi"),
-                max_iterations=int(options.get("max_iterations", 100_000)),
-                discrepancy_tau=float(options.get("discrepancy_tau", 1.1)),
-                noise_level=float(
-                    noise_level if explicit is None else explicit
-                ),
-                stagnation_tol=float(options.get("stagnation_tol", 1e-9)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid solver config: {exc}") from exc
-
-    def constraint_set(self, size: int) -> ConstraintSet:
-        if self.support is None:
-            return ConstraintSet.nonnegative()
-        if self.support == "even":
-            return ConstraintSet.even_support(size)
-        if isinstance(self.support, list):
-            mask = np.zeros(size, dtype=bool)
-            try:
-                mask[np.asarray(self.support, dtype=int)] = True
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"invalid support list: {exc}") from exc
-            return ConstraintSet(mask)
-        raise ConfigError(f"unsupported constraints.support {self.support!r}")
 
 
 def bundled_config_names() -> list[str]:
@@ -207,8 +246,6 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
     direct-inversion estimate. Returns a summary dict with the headline
     metrics and file paths.
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     provenance = {
         "config_sha256": config.config_hash(),
         "seed": config.sampling.seed if config.sampling else None,
@@ -217,8 +254,10 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
     }
 
     with _stage("state"):
-        photon = _STATE_BUILDERS[config.state["kind"]](config.state)
+        photon = build_state(config.state)
         photon.validate()
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with _stage("detector"):
         n_max = photon.n_max
         m_max = config.m_max
@@ -230,22 +269,15 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
         if config.sampling is None:
             counts_emp = counts_true
             delta_data = 0.0
-            noise_level = 0.0
         else:
             counts_emp = sample_counts(counts_true, config.sampling)
             delta_data = relative_error(counts_emp.probs, counts_true.probs)
-            noise_level = expected_sampling_error(
-                counts_emp, config.sampling.events
-            )
     with _stage("reconstruction"):
         mat_assumed = build_response(config.detector_assumed, n_max, m_max)
-        constraints = config.constraint_set(n_max + 1)
-        report = solve(
-            mat_assumed,
-            counts_emp,
-            constraints,
-            config.solver_config(noise_level),
-        )
+        events = config.sampling.events if config.sampling else None
+        solver = solver_config(config.solver, counts_emp, events)
+        constraints = constraint_set(config.support, n_max + 1)
+        report = solve(mat_assumed, counts_emp, constraints, solver)
     with _stage("metrics"):
         delta_est = relative_error(report.estimate, photon.probs)
         delta_res = relative_residual(mat_assumed, report.estimate, counts_emp)
@@ -305,22 +337,14 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
         )
         distio.write_json(
             out / "solve_report.json",
-            {
-                "estimate": report.estimate,
-                "iterations_run": report.iterations_run,
-                "stop_reason": report.stop_reason,
-                "chi": report.chi,
-                "residual_history": report.residual_history,
-                "normalization_history": report.normalization_history,
-                "provenance": provenance,
-            },
+            {**report.as_dict(), "provenance": provenance},
         )
         error_payload = {
             "relative_error": delta_est,
             "relative_residual": delta_res,
             "normalization_defect": defect,
             "sampling_relative_error": delta_data,
-            "noise_level": noise_level,
+            "noise_level": solver.noise_level,
             "provenance": provenance,
         }
         if direct_error is not None:

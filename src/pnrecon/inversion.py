@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import CountDistribution, DetectorParams
-from .special import MAX_LOG, SignedLogValue, kummer_phi, log_factorial_table
+from .special import MAX_LOG, SignedLogValue, kummer_phi, log_factorial_table, log_kummer
 
 __all__ = [
     "InverseMatrix",
@@ -29,10 +29,6 @@ __all__ = [
     "build_inverse",
     "direct_reconstruct",
 ]
-
-_KUMMER_REL_TOL = 1e-17
-_KUMMER_MAX_TERMS = 10_000
-
 
 class InversionOverflowError(OverflowError):
     """A term of the inverse series exceeds the floating-point range."""
@@ -141,20 +137,6 @@ def inverse_entry(params: DetectorParams, n: int, m: int) -> SignedLogValue:
     return SignedLogValue(log_mag, sign)
 
 
-def _log_kummer_grid(a: np.ndarray, b: np.ndarray, y: float) -> np.ndarray:
-    """ln Phi(a, b; y) evaluated elementwise over integer grids a, b >= 1."""
-    total = np.ones(a.shape)
-    term = np.ones(a.shape)
-    for i in range(_KUMMER_MAX_TERMS):
-        term = term * (a + i) * (y / ((b + i) * (i + 1.0)))
-        total += term
-        if np.all(term < _KUMMER_REL_TOL * total):
-            break
-    if not np.all(np.isfinite(total)):
-        raise OverflowError("Kummer series overflowed during grid summation")
-    return np.log(total)
-
-
 def build_inverse(
     params: DetectorParams, n_max: int, m_max: int
 ) -> InverseMatrix:
@@ -172,7 +154,7 @@ def build_inverse(
     hi = np.maximum(n, m)
     diff = np.abs(n - m)
     y = noise * (1.0 - params.eta) / params.eta
-    log_phi = _log_kummer_grid(hi + 1.0, diff + 1.0, y)
+    log_phi = log_kummer(hi + 1.0, diff + 1.0, y)
     table = log_factorial_table(max(n_max, m_max))
     log_eta = math.log(params.eta)
 

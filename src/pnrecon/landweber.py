@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import CountDistribution, ResponseMatrix
+from .detector import CountDistribution, ResponseMatrix, zero_pad
 
 __all__ = [
     "ConstraintSet",
@@ -81,6 +81,10 @@ class LandweberConfig:
     initial: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("chi", "discrepancy_tau", "noise_level", "stagnation_tol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.chi is not None and self.chi <= 0:
             raise ValueError(f"chi must be positive, got {self.chi}")
         if self.max_iterations < 1:
@@ -111,6 +115,16 @@ class SolveReport:
     normalization_history: np.ndarray
     stop_reason: str
     chi: float
+
+    def as_dict(self) -> dict:
+        return {
+            "estimate": self.estimate,
+            "iterations_run": self.iterations_run,
+            "stop_reason": self.stop_reason,
+            "chi": self.chi,
+            "residual_history": self.residual_history,
+            "normalization_history": self.normalization_history,
+        }
 
 
 def project(v: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
@@ -178,13 +192,7 @@ def solve(
     """
     matrix = mat.entries
     rows, cols = matrix.shape
-    data = np.asarray(counts.probs, dtype=float)
-    if data.size > rows:
-        raise ValueError(
-            f"count vector of length {data.size} exceeds matrix rows {rows}"
-        )
-    if data.size < rows:
-        data = np.pad(data, (0, rows - data.size))
+    data = zero_pad(counts.probs, rows, "count vector", "matrix rows")
     mask = constraints.support_mask
     if mask is not None and mask.size != cols:
         raise ValueError(

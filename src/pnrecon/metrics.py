@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import CountDistribution, ResponseMatrix
+from .detector import CountDistribution, ResponseMatrix, zero_pad
 
 __all__ = [
     "ErrorReport",
@@ -35,20 +35,11 @@ class ErrorReport:
         }
 
 
-def _pad_common(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    size = max(a.size, b.size)
-    if a.size < size:
-        a = np.pad(a, (0, size - a.size))
-    if b.size < size:
-        b = np.pad(b, (0, size - b.size))
-    return a, b
-
-
 def relative_error(estimate, truth) -> float:
     """||estimate - truth|| / ||truth|| in the Euclidean norm."""
-    est, ref = _pad_common(estimate, truth)
+    size = max(np.size(estimate), np.size(truth))
+    est = zero_pad(estimate, size, "estimate", "common length")
+    ref = zero_pad(truth, size, "reference", "common length")
     norm = float(np.linalg.norm(ref))
     if norm == 0.0:
         raise ValueError("reference vector has zero norm")
@@ -59,22 +50,8 @@ def relative_residual(
     mat: ResponseMatrix, estimate, measured: CountDistribution
 ) -> float:
     """||S @ estimate - measured|| / ||measured|| in the Euclidean norm."""
-    est = np.asarray(estimate, dtype=float)
-    cols = mat.n_max + 1
-    if est.size > cols:
-        raise ValueError(
-            f"estimate of length {est.size} exceeds matrix columns {cols}"
-        )
-    if est.size < cols:
-        est = np.pad(est, (0, cols - est.size))
-    data = np.asarray(measured.probs, dtype=float)
-    rows = mat.m_max + 1
-    if data.size > rows:
-        raise ValueError(
-            f"measured vector of length {data.size} exceeds matrix rows {rows}"
-        )
-    if data.size < rows:
-        data = np.pad(data, (0, rows - data.size))
+    est = zero_pad(estimate, mat.n_max + 1, "estimate", "matrix columns")
+    data = zero_pad(measured.probs, mat.m_max + 1, "measured vector", "matrix rows")
     norm = float(np.linalg.norm(data))
     if norm == 0.0:
         raise ValueError("measured vector has zero norm")

@@ -19,6 +19,7 @@ __all__ = [
     "SignedLogValue",
     "laguerre_assoc",
     "log_laguerre_nonpos",
+    "log_kummer",
     "kummer_phi",
     "log_factorial",
     "log_factorial_table",
@@ -130,18 +131,6 @@ def log_laguerre_nonpos(n: int, k: int, x: float) -> float:
     return float(top + np.log(np.exp(log_terms - top).sum()))
 
 
-def _laguerre_recurrence(n: int, k: int, x: float) -> float:
-    """Upward three-term recurrence, used on x > 0 where the series
-    alternates: (i+1) L_{i+1} = (2i+k+1-x) L_i - (i+k) L_{i-1}."""
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = k + 1.0 - x
-    for i in range(1, n):
-        prev, cur = cur, ((2 * i + k + 1 - x) * cur - (i + k) * prev) / (i + 1)
-    return cur
-
-
 def laguerre_assoc(n: int, k: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^k(x).
 
@@ -152,9 +141,8 @@ def laguerre_assoc(n: int, k: int, x: float) -> float:
     k : int
         Order, at least -n.
     x : float
-        Argument. For x <= 0 the defining sum has no cancellation and is
-        accumulated in log space; for x > 0 the three-term recurrence in
-        the degree is used.
+        Argument, nonpositive: there the defining sum has no cancellation
+        and is accumulated in log space. x > 0 raises ValueError.
 
     Returns
     -------
@@ -165,8 +153,6 @@ def laguerre_assoc(n: int, k: int, x: float) -> float:
         raise ValueError(f"require n >= 0 and k >= -n, got n={n}, k={k}")
     if x == 0.0:
         return float(math.comb(n + k, n))
-    if x > 0:
-        return _laguerre_recurrence(n, k, x)
     log_value = log_laguerre_nonpos(n, k, x)
     if log_value == -math.inf:
         return 0.0
@@ -177,12 +163,32 @@ def laguerre_assoc(n: int, k: int, x: float) -> float:
     return math.exp(log_value)
 
 
-def kummer_phi(a: int, b: int, x: float) -> SignedLogValue:
-    """Kummer confluent hypergeometric function Phi(a, b; x).
+def log_kummer(a, b, x: float):
+    """ln Phi(a, b; x), elementwise over integer grids (or scalars)
+    a, b >= 1 at one argument x >= 0.
 
-    Phi(a, b; x) = sum_{i>=0} (a)_i x^i / ((b)_i i!), summed directly;
-    for integer a, b >= 1 and x >= 0 all terms are positive. Terms are
-    added until term/sum < 1e-17 (hard cap 10000 terms).
+    Phi(a, b; x) = sum_{i>=0} (a)_i x^i / ((b)_i i!), summed directly; all
+    terms are positive on this domain. Terms are added until term/sum <
+    1e-17 everywhere (hard cap 10000 terms).
+    """
+    total = np.ones(np.shape(a))
+    term = np.ones(np.shape(a))
+    with np.errstate(over="ignore"):
+        for i in range(_KUMMER_MAX_TERMS):
+            term = term * (a + i) * (x / ((b + i) * (i + 1.0)))
+            total += term
+            if np.all(term < _KUMMER_REL_TOL * total):
+                break
+    if not np.all(np.isfinite(total)):
+        raise OverflowError(
+            f"Kummer series Phi(a, b; {x}) overflowed during summation"
+        )
+    return np.log(total)
+
+
+def kummer_phi(a: int, b: int, x: float) -> SignedLogValue:
+    """Kummer confluent hypergeometric function Phi(a, b; x) for integer
+    a, b >= 1 and x >= 0, summed by :func:`log_kummer`.
 
     Returns the value in signed-log form; the sign is always +1 on this
     domain.
@@ -191,17 +197,4 @@ def kummer_phi(a: int, b: int, x: float) -> SignedLogValue:
         raise ValueError(f"require a >= 1 and b >= 1, got a={a}, b={b}")
     if x < 0:
         raise ValueError(f"require x >= 0, got x={x}")
-    if x == 0.0:
-        return SignedLogValue(0.0, 1)
-    total = 1.0
-    term = 1.0
-    for i in range(_KUMMER_MAX_TERMS):
-        term *= (a + i) * x / ((b + i) * (i + 1.0))
-        total += term
-        if term < _KUMMER_REL_TOL * total:
-            break
-    if not math.isfinite(total):
-        raise OverflowError(
-            f"Kummer series Phi({a},{b};{x}) overflowed during summation"
-        )
-    return SignedLogValue(math.log(total), 1)
+    return SignedLogValue(float(log_kummer(a, b, x)), 1)

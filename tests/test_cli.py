@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import pnrecon
-from pnrecon import distio, states
+from pnrecon import distio
 from pnrecon.cli import main
 from pnrecon.experiment import (
     ConfigError,
     ExperimentConfig,
+    build_state,
     load_config,
     run_experiment,
 )
@@ -36,20 +37,46 @@ SMALL_CONFIG = {
 
 
 class TestSubcommands:
-    def test_gen_state_thermal(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv,spec",
+        [
+            (["thermal", "--mean", "30"], {"kind": "thermal", "mean_n": 30.0}),
+            (
+                ["spats", "--mean", "10", "--tail", "1e-8"],
+                {"kind": "spats", "mean_n": 10.0, "tail": 1e-8},
+            ),
+            (
+                ["even-cat", "--alpha-sq", "23.9"],
+                {"kind": "even_cat", "alpha_sq": 23.9},
+            ),
+            (["fock", "--n", "4"], {"kind": "fock", "n": 4}),
+        ],
+        ids=["thermal", "spats", "even-cat", "fock"],
+    )
+    def test_gen_state_matches_build_state(self, tmp_path, argv, spec):
         out = tmp_path / "state.json"
-        assert run_cli(
-            "gen-state", "thermal", "--mean", "30", "--output", str(out)
-        ) == 0
+        assert run_cli("gen-state", *argv, "--output", str(out)) == 0
         values, metadata = distio.read_distribution(out)
-        expected = states.thermal(30.0)
-        assert np.array_equal(values, expected.probs)
+        assert np.array_equal(values, build_state(spec).probs)
         assert metadata == {}  # bare JSON array form
         assert out.read_text().lstrip().startswith("[")
 
     def test_gen_state_missing_parameter_is_config_error(self, tmp_path):
         out = tmp_path / "state.json"
         assert run_cli("gen-state", "thermal", "--output", str(out)) == 2
+
+    def test_gen_state_flag_of_another_kind_is_config_error(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "state.json"
+        code = run_cli(
+            "gen-state", "fock", "--n", "3", "--tail", "1e-8",
+            "--output", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert "unexpected keyword argument 'tail'" in err["message"]
 
     def test_forward_of_vacuum_is_poisson_noise(self, tmp_path):
         state = tmp_path / "fock0.json"
@@ -282,6 +309,81 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert "events must be an integer, got 10.5" in err["message"]
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"state": {"kind": "thermal"}},
+            {"state": {"kind": "thermal", "mean_n": "abc"}},
+            {"state": {"kind": "thermal", "mean_n": 5.0, "mean": 5.0}},
+            {"constraints": [1]},
+            {"constraints": {"support": [-1]}},
+            {"solver": {"chi": "x"}},
+            {"solver": {"max_iteration": 10}},
+            {"window_tail": [1e-8]},
+        ],
+        ids=[
+            "state-key-missing",
+            "state-value-type",
+            "state-key-unknown",
+            "constraints-not-object",
+            "support-negative-index",
+            "solver-value",
+            "solver-key-unknown",
+            "window-tail-type",
+        ],
+    )
+    def test_malformed_config_is_2_before_any_output(
+        self, tmp_path, capsys, change
+    ):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, **change}))
+        capsys.readouterr()
+        code = run_cli("run", "--config", str(cfg), "--output", str(out))
+        assert code == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--events", "-5"],
+            ["--events", "0"],
+            ["--noise-level", "nan"],
+            ["--tau", "nan"],
+            ["--chi", "nan"],
+            ["--stagnation-tol", "inf"],
+        ],
+        ids=["events-negative", "events-zero", "noise-nan", "tau-nan",
+             "chi-nan", "stagnation-inf"],
+    )
+    def test_bad_solver_input_is_2_before_solve(self, tmp_path, capsys, flags):
+        det = tmp_path / "S.json"
+        counts = tmp_path / "P.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--m-max", "5", "--output", str(det),
+        ) == 0
+        # a file nu must not stand in for an explicit --events 0
+        distio.write_distribution(
+            counts, [0.5, 0.2, 0.2, 0.1, 0.0, 0.0], metadata={"nu": 1000}
+        )
+        capsys.readouterr()
+        code = run_cli(
+            "reconstruct",
+            "--detector", str(det),
+            "--counts", str(counts),
+            *flags,
+            "--output", str(tmp_path / "p.json"),
+            "--report", str(tmp_path / "report.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "p.json").exists()
+        assert not (tmp_path / "report.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+
     def test_invalid_config_payload_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"state": {"kind": "warp"}}))
@@ -400,6 +502,7 @@ class TestRunExperiment:
         exact = tmp_path / "P.json"
         emp = tmp_path / "emp.json"
         rec = tmp_path / "rec.json"
+        report = tmp_path / "report.json"
         assert run_cli(
             "gen-state", "thermal", "--mean", "5", "--tail", "1e-8",
             "--output", str(state),
@@ -433,7 +536,7 @@ class TestRunExperiment:
             "reconstruct",
             "--detector", str(det_rec), "--counts", str(emp),
             "--events", "2000", "--max-iterations", "5000",
-            "--output", str(rec),
+            "--output", str(rec), "--report", str(report),
         ) == 0
 
         # every shared numeric payload agrees bit for bit
@@ -446,3 +549,10 @@ class TestRunExperiment:
             a, _ = distio.read_distribution(chained)
             b, _ = distio.read_distribution(whole)
             assert np.array_equal(a, b), chained
+
+        # the chain's solver report is run's without the provenance, in
+        # the same key order
+        whole_report = json.loads((out / "solve_report.json").read_text())
+        del whole_report["provenance"]
+        chained_report = json.loads(report.read_text())
+        assert list(chained_report.items()) == list(whole_report.items())

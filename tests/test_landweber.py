@@ -366,6 +366,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             LandweberConfig(max_iterations=0)
 
+    @pytest.mark.parametrize(
+        "field", ["chi", "discrepancy_tau", "noise_level", "stagnation_tol"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LandweberConfig(**{field: value})
+
     def test_dimension_checks(self):
         mat = plain_matrix(np.eye(3))
         with pytest.raises(ValueError):
