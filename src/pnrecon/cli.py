@@ -23,7 +23,6 @@ import sys
 from . import __version__, distio, states
 from .detector import DetectorParams, build_response, forward, suggest_m_max
 from .experiment import (
-    ConfigError,
     build_state,
     bundled_config_names,
     constraint_set,
@@ -270,9 +269,6 @@ def main(argv=None) -> int:
     stage = args.command
     try:
         return args.func(args)
-    except (ConfigError, states.DistributionFileError) as exc:
-        _emit_error(stage, exc)
-        return EXIT_CONFIG
     except (OverflowError, FloatingPointError) as exc:
         _emit_error(stage, exc)
         return EXIT_NUMERICAL

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _SUGGEST_HARD_MARGIN = 4000
+_SUGGEST_BLOCK = 64  # rows of column n_max evaluated per pass
 
 
 @dataclass(frozen=True)
@@ -144,23 +145,35 @@ def _log_laguerre_table(x: float, r_max: int, s_max: int) -> np.ndarray:
     s + 1 is the running log-sum of column s, since L_r^{s+1}(x) =
     sum_{i<=r} L_i^s(x) (order-sum identity, DLMF 18.18).
     """
-    table = log_factorial_table(r_max + s_max + 1)
-    r = np.arange(r_max + 1)[:, None]
+    r = np.arange(r_max + 1)
     if x == 0.0:
-        s = np.arange(s_max + 1)[None, :]
-        return table[r + s] - table[r] - table[s]
-    i = np.arange(r_max + 1)[None, :]
-    log_terms = np.where(
-        i <= r,
-        table[r] - table[r - i] - table[i] + (i * math.log(-x) - table[i]),
-        -math.inf,
-    )
-    top = log_terms.max(axis=1)
+        return log_laguerre_nonpos(r[:, None], np.arange(s_max + 1), x)
     out = np.empty((s_max + 1, r_max + 1))
-    out[0] = top + np.log(np.exp(log_terms - top[:, None]).sum(axis=1))
+    out[0] = log_laguerre_nonpos(r, 0, x)
     for s in range(s_max):
         np.logaddexp.accumulate(out[s], out=out[s + 1])
     return out.T
+
+
+def _log_entries(params: DetectorParams, m, n, log_laguerre) -> np.ndarray:
+    """ln S[m|n] over broadcastable index arrays m, n; ``log_laguerre(low,
+    diff)`` gives ln L_low^diff at the detector's Laguerre argument."""
+    noise = params.n_noise
+    table = log_factorial_table(int(max(np.max(m), np.max(n))))
+    diff = np.abs(m - n)
+    log_eta = math.log(params.eta)
+    log_up = -noise + n * log_eta + table[n] - table[m]
+    if noise > 0.0:
+        log_up = log_up + diff * math.log(noise)
+    else:
+        log_up = np.where(diff > 0, -math.inf, log_up)
+    log_lo = -noise + m * log_eta
+    if params.eta < 1.0:
+        log_lo = log_lo + diff * math.log1p(-params.eta)
+    else:
+        log_lo = np.where(diff > 0, -math.inf, log_lo)
+    lag = log_laguerre(np.minimum(m, n), diff)
+    return np.where(m >= n, log_up, log_lo) + lag
 
 
 def build_response(
@@ -178,32 +191,12 @@ def build_response(
     """
     if n_max < 0 or m_max < 0:
         raise ValueError("n_max and m_max must be nonnegative")
-    noise = params.n_noise
-    table = log_factorial_table(max(n_max, m_max))
     lag = _log_laguerre_table(
         params.laguerre_arg, min(n_max, m_max), max(n_max, m_max)
     )
     m = np.arange(m_max + 1)[:, None]
     n = np.arange(n_max + 1)[None, :]
-    upper = m >= n
-    diff = np.abs(m - n)
-    low = np.minimum(m, n)
-    log_eta = math.log(params.eta)
-
-    with np.errstate(invalid="ignore"):
-        log_up = -noise + n * log_eta + table[n] - table[m]
-        if noise > 0.0:
-            log_up = log_up + diff * math.log(noise)
-        else:
-            log_up = np.where(diff > 0, -math.inf, log_up)
-        log_lo = -noise + m * log_eta
-        if params.eta < 1.0:
-            log_lo = log_lo + diff * math.log1p(-params.eta)
-        else:
-            log_lo = np.where(diff > 0, -math.inf, log_lo)
-        log_entries = np.where(upper, log_up, log_lo) + lag[low, diff]
-
-    entries = np.exp(log_entries)
+    entries = np.exp(_log_entries(params, m, n, lambda low, diff: lag[low, diff]))
     col_tail = np.maximum(0.0, 1.0 - entries.sum(axis=0))
     return ResponseMatrix(entries, params, col_tail)
 
@@ -242,12 +235,18 @@ def suggest_m_max(params: DetectorParams, n_max: int, tail: float) -> int:
     if params.n_noise == 0.0:
         # no counts above n: the column is exactly supported on 0..n_max
         return n_max
-    cum = 0.0
-    m = 0
+    x = params.laguerre_arg
     cap = n_max + _SUGGEST_HARD_MARGIN
-    while m <= cap:
-        cum += response_entry(params, m, n_max)
-        if 1.0 - cum <= tail:
-            return m
-        m += 1
+    cum = 0.0
+    for start in range(0, cap + 1, _SUGGEST_BLOCK):
+        m = np.arange(start, min(start + _SUGGEST_BLOCK, cap + 1))
+        log_s = _log_entries(
+            params, m, n_max, lambda low, diff: log_laguerre_nonpos(low, diff, x)
+        )
+        # seeded with the running total: the sums of adding entry by entry
+        cums = np.cumsum(np.concatenate(([cum], np.exp(log_s))))[1:]
+        crossed = np.flatnonzero(1.0 - cums <= tail)
+        if crossed.size:
+            return start + int(crossed[0])
+        cum = cums[-1]
     return cap

@@ -16,6 +16,7 @@ import inspect
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -26,8 +27,9 @@ from . import distio, states
 from .detector import DetectorParams, build_response, forward, suggest_m_max
 from .inversion import direct_reconstruct
 from .landweber import ConstraintSet, LandweberConfig, solve
-from .metrics import normalization_defect, relative_error, relative_residual
+from .metrics import ErrorReport, normalization_defect, relative_error, relative_residual
 from .sampling import GENERATOR_NAME, SamplingConfig, expected_sampling_error, sample_counts
+from .sampling import _require_integer
 
 __all__ = [
     "ConfigError",
@@ -43,11 +45,14 @@ __all__ = [
 # state kinds; each names its builder in ``states`` ("file": from_file)
 _STATE_KINDS = ("thermal", "spats", "even_cat", "fock", "file")
 
-# solver option -> its type in LandweberConfig
+# solver option -> its LandweberConfig value (integers checked, not coerced)
 _SOLVER_OPTIONS = dict(
     chi=float, discrepancy_tau=float, noise_level=float, stagnation_tol=float,
-    max_iterations=int,
+    max_iterations=partial(_require_integer, "max_iterations"),
 )
+
+_CONFIG_KEYS = ("name", "state", "detector_true", "detector_assumed", "sampling",
+                "solver", "constraints", "window_tail", "m_max", "direct_inversion")
 
 
 class ConfigError(ValueError):
@@ -96,6 +101,12 @@ def solver_config(options: dict, counts=None, events=None) -> LandweberConfig:
         return LandweberConfig(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
+
+
+def _check_keys(what: str, mapping: dict, allowed) -> None:
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; expected {list(allowed)}")
 
 
 def _check_support(support) -> None:
@@ -158,6 +169,7 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ConfigError("config must be a JSON object")
         data = json.loads(json.dumps(payload))  # deep copy, JSON-clean
+        _check_keys("config", data, _CONFIG_KEYS)
         try:
             state = dict(data["state"])
             _state_call(state)  # kind and keys; run_experiment builds it
@@ -175,21 +187,26 @@ class ExperimentConfig:
             else:
                 sampling_args = dict(data["sampling"])
                 if seed is not None:
-                    sampling_args["seed"] = int(seed)
+                    sampling_args["seed"] = _require_integer("seed", seed)
                     data["sampling"] = sampling_args
                 sampling = SamplingConfig(**sampling_args)
             solver = dict(data.get("solver", {}))
             solver_config(solver)
-            support = dict(data.get("constraints", {})).get("support")
+            constraints = dict(data.get("constraints", {}))
+            _check_keys("constraints", constraints, ("support",))
+            support = constraints.get("support")
             _check_support(support)
             window_tail = float(data.get("window_tail", 1e-10))
             if not (0.0 < window_tail < 1.0):
                 raise ConfigError(f"window_tail must be in (0, 1), got {window_tail}")
             m_max = data.get("m_max")
-            if m_max is not None:
-                m_max = int(m_max)
-                if m_max < 0:
-                    raise ConfigError("m_max must be nonnegative")
+            if m_max is not None and _require_integer("m_max", m_max) < 0:
+                raise ConfigError("m_max must be nonnegative")
+            direct_inversion = data.get("direct_inversion", False)
+            if not isinstance(direct_inversion, bool):
+                raise ConfigError(
+                    f"direct_inversion must be a boolean, got {direct_inversion!r}"
+                )
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -204,7 +221,7 @@ class ExperimentConfig:
             support=support,
             window_tail=window_tail,
             m_max=m_max,
-            direct_inversion=bool(data.get("direct_inversion", False)),
+            direct_inversion=direct_inversion,
             raw=data,
         )
 
@@ -222,14 +239,12 @@ def load_config(ref, seed=None) -> ExperimentConfig:
     """Load a config from a path, or by bundled name (e.g. thermal_fig1)."""
     path = Path(ref)
     if not path.exists():
-        candidate = resources.files("pnrecon").joinpath(f"configs/{ref}.json")
-        if candidate.is_file():
-            payload = json.loads(candidate.read_text(encoding="utf-8"))
-            return ExperimentConfig.from_dict(payload, seed=seed)
-        raise ConfigError(
-            f"no config file {ref!r} and no bundled config of that name "
-            f"(available: {', '.join(bundled_config_names())})"
-        )
+        path = resources.files("pnrecon").joinpath(f"configs/{ref}.json")
+        if not path.is_file():
+            raise ConfigError(
+                f"no config file {ref!r} and no bundled config of that name "
+                f"(available: {', '.join(bundled_config_names())})"
+            )
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -340,9 +355,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
             {**report.as_dict(), "provenance": provenance},
         )
         error_payload = {
-            "relative_error": delta_est,
-            "relative_residual": delta_res,
-            "normalization_defect": defect,
+            **ErrorReport(delta_est, delta_res, defect).as_dict(),
             "sampling_relative_error": delta_data,
             "noise_level": solver.noise_level,
             "provenance": provenance,

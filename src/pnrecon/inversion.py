@@ -188,10 +188,10 @@ def direct_reconstruct(
 
         p[n] = sum_m Sinv[n|m] counts[m]
 
-    Terms are accumulated from smallest to largest magnitude with exact
-    compensated summation. The output is returned raw: entries may be
-    negative and the vector need not be normalized. This estimator is the
-    unstable baseline; expect noise amplification that grows with n.
+    Each row is summed by math.fsum, which is correctly rounded, so the
+    term order does not matter. The output is returned raw: entries may
+    be negative and the vector need not be normalized. This estimator is
+    the unstable baseline; expect noise amplification that grows with n.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -212,8 +212,4 @@ def direct_reconstruct(
             int(m),
         )
     terms = inv.sign * np.exp(log_terms)
-    estimate = np.empty(n_max + 1)
-    order = np.argsort(np.abs(terms), axis=1)
-    for row in range(n_max + 1):
-        estimate[row] = math.fsum(terms[row, order[row]])
-    return estimate
+    return np.array([math.fsum(row) for row in terms])

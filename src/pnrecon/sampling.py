@@ -32,6 +32,14 @@ _SEED_LIMIT = 2**64
 _CHUNK_EVENTS = 2**16
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float or other non-integer (even 10.0)
+    raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Number of sampling events and the 64-bit generator seed."""
@@ -41,11 +49,7 @@ class SamplingConfig:
 
     def __post_init__(self):
         for name in ("events", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral
-            ):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_integer(name, getattr(self, name))
         if self.events < 1:
             raise ValueError(f"events must be >= 1, got {self.events}")
         if not (0 <= self.seed < _SEED_LIMIT):

@@ -61,13 +61,6 @@ def log_factorial(n: int) -> float:
     return _log_fact(int(n))
 
 
-def _log_binomial(n: int, k: int) -> float:
-    """ln C(n, k); -inf when k falls outside 0..n."""
-    if k < 0 or k > n:
-        return -math.inf
-    return _log_fact(n) - _log_fact(k) - _log_fact(n - k)
-
-
 @dataclass(frozen=True)
 class SignedLogValue:
     """A real number stored as sign and natural log of magnitude.
@@ -97,38 +90,39 @@ class SignedLogValue:
         return self.sign * math.exp(self.log_magnitude)
 
 
-def log_laguerre_nonpos(n: int, k: int, x: float) -> float:
-    """ln L_n^k(x) for x <= 0, where every term of the defining sum
+def log_laguerre_nonpos(n, k, x: float):
+    """ln L_n^k(x) for x <= 0, elementwise over integer arrays (or scalars)
+    n >= 0, k >= -n at one argument x; every term of the defining sum
 
         L_n^k(x) = sum_{i=0}^{n} C(n+k, n-i) (-x)^i / i!
 
     is nonnegative. Summed via max-shifted exponentials, so the result
-    stays finite in log form even when L itself overflows a double.
+    stays finite in log form even when L itself overflows a double. At
+    x = 0 only the i = 0 term, C(n+k, n), is kept.
     """
-    if n < 0 or k < -n:
+    n, k = np.asarray(n), np.asarray(k)
+    if np.any(n < 0) or np.any(k < -n):
         raise ValueError(f"require n >= 0 and k >= -n, got n={n}, k={k}")
-    if x > 0:
+    if not x <= 0:
         raise ValueError(f"log-space path requires x <= 0, got x={x}")
-    if x == 0.0:
-        return _log_binomial(n + k, n)
-    table = log_factorial_table(n + abs(k) + 1)
-    i = np.arange(n + 1)
-    choose = n - i
-    # ln C(n+k, n-i) = ln((n+k)!) - ln((n-i)!) - ln((k+i)!), valid for i >= -k
-    valid = choose <= n + k
+    table = log_factorial_table(int(np.max(n) + np.max(np.abs(k))) + 1)
+    i = np.arange(int(np.max(n)) + 1 if x < 0 else 1)
+    log_x = math.log(-x) if x < 0 else 0.0
+    n_i, k_i = n[..., None], k[..., None] + i
+    # ln C(n+k, n-i) = ln((n+k)!) - ln((n-i)!) - ln((k+i)!), valid for
+    # -k <= i <= n
     log_terms = np.where(
-        valid,
-        table[n + k]
-        - table[choose]
-        - table[np.clip(k + i, 0, None)]
-        + i * math.log(-x)
-        - table[i],
+        (i <= n_i) & (k_i >= 0),
+        table[n_i + k[..., None]]
+        - table[n_i - i]
+        - table[np.maximum(k_i, 0)]
+        + (i * log_x - table[i]),
         -math.inf,
     )
-    top = log_terms.max()
-    if top == -math.inf:
-        return -math.inf
-    return float(top + np.log(np.exp(log_terms - top).sum()))
+    top = log_terms.max(axis=-1)
+    if x < 0:
+        top = top + np.log(np.exp(log_terms - top[..., None]).sum(axis=-1))
+    return top if top.ndim else float(top)
 
 
 def laguerre_assoc(n: int, k: int, x: float) -> float:
@@ -149,13 +143,9 @@ def laguerre_assoc(n: int, k: int, x: float) -> float:
     float
         L_n^k(x).
     """
-    if n < 0 or k < -n:
-        raise ValueError(f"require n >= 0 and k >= -n, got n={n}, k={k}")
+    log_value = log_laguerre_nonpos(n, k, x)  # validates n, k and x
     if x == 0.0:
         return float(math.comb(n + k, n))
-    log_value = log_laguerre_nonpos(n, k, x)
-    if log_value == -math.inf:
-        return 0.0
     if log_value > MAX_LOG:
         raise OverflowError(
             f"L_{n}^{k}({x}) = exp({log_value:.6g}) exceeds double range"
@@ -169,20 +159,22 @@ def log_kummer(a, b, x: float):
 
     Phi(a, b; x) = sum_{i>=0} (a)_i x^i / ((b)_i i!), summed directly; all
     terms are positive on this domain. Terms are added until term/sum <
-    1e-17 everywhere (hard cap 10000 terms).
+    1e-17 everywhere (hard cap 10000 terms); the first term that overflows
+    a double raises OverflowError naming its index.
     """
     total = np.ones(np.shape(a))
     term = np.ones(np.shape(a))
-    with np.errstate(over="ignore"):
-        for i in range(_KUMMER_MAX_TERMS):
-            term = term * (a + i) * (x / ((b + i) * (i + 1.0)))
-            total += term
-            if np.all(term < _KUMMER_REL_TOL * total):
-                break
-    if not np.all(np.isfinite(total)):
+    try:
+        with np.errstate(over="raise"):
+            for i in range(_KUMMER_MAX_TERMS):
+                term = term * (a + i) * (x / ((b + i) * (i + 1.0)))
+                total += term
+                if np.all(term < _KUMMER_REL_TOL * total):
+                    break
+    except FloatingPointError:
         raise OverflowError(
-            f"Kummer series Phi(a, b; {x}) overflowed during summation"
-        )
+            f"Kummer series Phi(a, b; {x}) overflowed at term {i + 1}"
+        ) from None
     return np.log(total)
 
 
@@ -195,6 +187,6 @@ def kummer_phi(a: int, b: int, x: float) -> SignedLogValue:
     """
     if a < 1 or b < 1:
         raise ValueError(f"require a >= 1 and b >= 1, got a={a}, b={b}")
-    if x < 0:
-        raise ValueError(f"require x >= 0, got x={x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"require finite x >= 0, got x={x}")
     return SignedLogValue(float(log_kummer(a, b, x)), 1)

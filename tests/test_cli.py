@@ -11,6 +11,7 @@ import pytest
 import pnrecon
 from pnrecon import distio
 from pnrecon.cli import main
+from pnrecon.detector import DetectorParams
 from pnrecon.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -18,6 +19,8 @@ from pnrecon.experiment import (
     load_config,
     run_experiment,
 )
+from pnrecon.inversion import direct_reconstruct
+from pnrecon.metrics import relative_residual
 
 
 def run_cli(*argv) -> int:
@@ -129,6 +132,71 @@ class TestSubcommands:
         payload = json.loads(out.read_text())
         assert payload["relative_error"] == 0.0
         assert payload["normalization_defect"] == 0.0
+
+    def test_metrics_without_output_prints_the_payload(self, tmp_path, capsys):
+        est = tmp_path / "est.json"
+        truth = tmp_path / "truth.json"
+        distio.write_distribution(est, np.array([0.25, 0.5]))
+        distio.write_distribution(truth, np.array([0.5, 0.5]))
+        capsys.readouterr()
+        assert run_cli(
+            "metrics", "--estimate", str(est), "--truth", str(truth)
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "relative_error": 0.25 / math.sqrt(0.5),
+            "normalization_defect": -0.25,
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "est.json", "truth.json"
+        ]
+
+    def test_metrics_residual_matches_library(self, tmp_path):
+        det = tmp_path / "S.json"
+        est = tmp_path / "est.json"
+        truth = tmp_path / "truth.json"
+        measured = tmp_path / "emp.json"
+        out = tmp_path / "err.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.8", "--noise", "0.2",
+            "--n-max", "3", "--m-max", "6", "--output", str(det),
+        ) == 0
+        distio.write_distribution(est, np.array([0.1, 0.4, 0.3, 0.15]))
+        distio.write_distribution(truth, np.array([0.1, 0.4, 0.3, 0.2]))
+        distio.write_distribution(
+            measured, np.array([0.1, 0.3, 0.3, 0.2, 0.05, 0.05, 0.0])
+        )
+        assert run_cli(
+            "metrics",
+            "--estimate", str(est), "--truth", str(truth),
+            "--detector", str(det), "--measured", str(measured),
+            "--output", str(out),
+        ) == 0
+        payload = json.loads(out.read_text())
+        expected = relative_residual(
+            distio.read_matrix(det),
+            distio.read_distribution(est)[0],
+            distio.read_counts(measured)[0],
+        )
+        assert payload["relative_residual"] == expected
+        assert expected > 0.0
+
+    def test_invert_direct_writes_direct_reconstruct(self, tmp_path):
+        counts = tmp_path / "P.json"
+        raw = tmp_path / "raw.json"
+        distio.write_distribution(
+            counts, np.array([0.3, 0.3, 0.2, 0.1, 0.06, 0.03, 0.01])
+        )
+        assert run_cli(
+            "invert-direct", "--eta", "0.8", "--noise", "0.2",
+            "--n-max", "5", "--counts", str(counts), "--output", str(raw),
+        ) == 0
+        values, _ = distio.read_distribution(raw)
+        expected = direct_reconstruct(
+            DetectorParams(0.8, 0.2), distio.read_counts(counts)[0], 5
+        )
+        assert values.size == 6
+        assert np.array_equal(values, expected)
 
     def test_list_configs(self, capsys):
         assert run_cli("list-configs") == 0
@@ -320,6 +388,16 @@ class TestExitCodes:
             {"solver": {"chi": "x"}},
             {"solver": {"max_iteration": 10}},
             {"window_tail": [1e-8]},
+            {"solver": {"max_iterations": 10.7}},
+            {"solver": {"max_iterations": 10.0}},
+            {"solver": {"max_iterations": True}},
+            {"m_max": 10.7},
+            {"m_max": 10.0},
+            {"m_max": True},
+            {"direct_inversion": "false"},
+            {"direct_inversion": 1},
+            {"windowtail": 1e-8},
+            {"constraints": {"suport": "even"}},
         ],
         ids=[
             "state-key-missing",
@@ -330,6 +408,16 @@ class TestExitCodes:
             "solver-value",
             "solver-key-unknown",
             "window-tail-type",
+            "max-iterations-float",
+            "max-iterations-integral-float",
+            "max-iterations-bool",
+            "m-max-float",
+            "m-max-integral-float",
+            "m-max-bool",
+            "direct-inversion-string",
+            "direct-inversion-int",
+            "top-level-key-unknown",
+            "constraints-key-unknown",
         ],
     )
     def test_malformed_config_is_2_before_any_output(
@@ -392,7 +480,7 @@ class TestExitCodes:
 
 class TestRunExperiment:
     @pytest.mark.parametrize(
-        "config", ["thermal_fig1", "spats_fig2", "cat_fig4"]
+        "config", ["thermal_fig1", "spats_fig2", "cat_fig4", "spats_fig3_direct"]
     )
     def test_identical_across_blas_thread_counts(self, tmp_path, config):
         src = str(Path(pnrecon.__file__).resolve().parents[1])
@@ -472,6 +560,28 @@ class TestRunExperiment:
         summary = run_experiment(config, tmp_path / "out")
         assert summary["sampling_relative_error"] == 0.0
         assert summary["relative_error"] <= 1e-3
+
+    @pytest.mark.parametrize("seed", [3.7, 3.0, True])
+    def test_non_integral_seed_override_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            ExperimentConfig.from_dict(SMALL_CONFIG, seed=seed)
+
+    def test_list_support_and_explicit_window(self, tmp_path):
+        support = [0, 1, 2, 4, 7]
+        config = ExperimentConfig.from_dict(
+            {**SMALL_CONFIG, "constraints": {"support": support}, "m_max": 12}
+        )
+        out = tmp_path / "out"
+        summary = run_experiment(config, out)
+        assert summary["m_max"] == 12
+        for name in ("counts_true.json", "counts_empirical.json"):
+            assert distio.read_distribution(out / name)[0].size == 13, name
+        estimate, _ = distio.read_distribution(out / "estimate.json")
+        assert estimate.size == summary["n_max"] + 1
+        off = np.ones(estimate.size, dtype=bool)
+        off[support] = False
+        assert np.all(estimate[off] == 0.0)
+        assert np.all(estimate[support] > 0.0)
 
     def test_seed_override_rejected_without_sampling(self):
         payload = dict(SMALL_CONFIG)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pnrecon.detector import (
+    _SUGGEST_HARD_MARGIN,
     CountDistribution,
     DetectorParams,
     _log_entry_m_ge_n,
@@ -17,7 +18,7 @@ from pnrecon.detector import (
     response_entry,
     suggest_m_max,
 )
-from pnrecon.experiment import load_config
+from pnrecon.experiment import build_state, bundled_config_names, load_config
 from pnrecon.special import log_laguerre_nonpos
 from pnrecon.states import fock, thermal
 
@@ -287,7 +288,57 @@ class TestForward:
             forward(mat, fock(7))
 
 
+def suggest_m_max_reference(params: DetectorParams, n_max: int, tail: float) -> int:
+    """Smallest m_max whose column-n_max conditional distribution loses at
+    most ``tail`` of its mass, found by cumulative summation of entries.
+
+    The worst column is n_max (the conditional count mean grows with n).
+    """
+    if not (0.0 < tail < 1.0):
+        raise ValueError(f"tail must be in (0, 1), got {tail}")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if params.n_noise == 0.0:
+        # no counts above n: the column is exactly supported on 0..n_max
+        return n_max
+    cum = 0.0
+    m = 0
+    cap = n_max + _SUGGEST_HARD_MARGIN
+    while m <= cap:
+        cum += response_entry(params, m, n_max)
+        if 1.0 - cum <= tail:
+            return m
+        m += 1
+    return cap
+
+
 class TestSuggestMMax:
+    """suggest_m_max against the scalar loop it replaced (kept above
+    verbatim as suggest_m_max_reference): one response_entry per m,
+    accumulated in order."""
+
+    @pytest.mark.parametrize("detector", ["detector_true", "detector_assumed"])
+    @pytest.mark.parametrize("config", bundled_config_names())
+    def test_bundled_configs_match_scalar_reference(self, config, detector):
+        cfg = load_config(config)
+        params = getattr(cfg, detector)
+        n_max = build_state(cfg.state).n_max
+        assert suggest_m_max(params, n_max, cfg.window_tail) == (
+            suggest_m_max_reference(params, n_max, cfg.window_tail)
+        )
+
+    @given(
+        eta=st.floats(0.05, 1.0),
+        n_noise=st.floats(0.0, 3.0),
+        n_max=st.integers(0, 40),
+        tail=st.floats(1e-10, 0.5),
+    )
+    def test_small_windows_match_scalar_reference(self, eta, n_noise, n_max, tail):
+        params = DetectorParams(eta, n_noise)
+        assert suggest_m_max(params, n_max, tail) == (
+            suggest_m_max_reference(params, n_max, tail)
+        )
+
     def test_identity_detector(self):
         assert suggest_m_max(DetectorParams(1.0, 0.0), 10, 1e-9) == 10
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pnrecon.special import (
+    _KUMMER_MAX_TERMS,
     SignedLogValue,
     kummer_phi,
     laguerre_assoc,
     log_factorial,
+    log_kummer,
     log_laguerre_nonpos,
 )
 
@@ -109,6 +112,46 @@ class TestLaguerre:
             laguerre_assoc(30, 11, -4.0), rel=1e-14
         )
 
+    def test_scalar_input_returns_float(self):
+        assert type(log_laguerre_nonpos(7, 3, -1.5)) is float
+        assert type(log_laguerre_nonpos(7, 3, 0.0)) is float
+
+    @pytest.mark.parametrize("x", [-2.5, -0.01, 0.0])
+    def test_elementwise_matches_scalar(self, x):
+        n = np.array([[0, 3, 17, 40], [5, 2, 9, 1]])
+        k = np.array([[4, -3, 0, 9], [60, -2, 25, 0]])
+        got = log_laguerre_nonpos(n, k, x)
+        assert got.shape == n.shape
+        for idx in np.ndindex(n.shape):
+            scalar = log_laguerre_nonpos(int(n[idx]), int(k[idx]), x)
+            assert got[idx] == pytest.approx(scalar, rel=1e-14, abs=1e-14), idx
+
+    def test_elementwise_broadcasts(self):
+        n = np.arange(6)[:, None]
+        k = np.arange(8)[None, :]
+        got = log_laguerre_nonpos(n, k, -0.7)
+        assert got.shape == (6, 8)
+        expected = [[laguerre_assoc(i, j, -0.7) for j in range(8)] for i in range(6)]
+        assert np.allclose(np.exp(got), expected, rtol=1e-13, atol=0.0)
+
+    def test_value_at_zero_elementwise(self):
+        # L_n^k(0) = C(n+k, n): zero (log -inf) for -n <= k < 0
+        got = log_laguerre_nonpos(np.array([2, 3, 4]), np.array([-1, 1, 0]), 0.0)
+        assert got[0] == -math.inf
+        assert got[1:] == pytest.approx([math.log(4.0), 0.0], abs=1e-15)
+
+    def test_nan_argument_rejected(self):
+        with pytest.raises(ValueError):
+            log_laguerre_nonpos(np.array([2, 3]), 1, math.nan)
+        with pytest.raises(ValueError):
+            laguerre_assoc(2, 1, math.nan)
+
+    def test_invalid_elementwise_arguments(self):
+        with pytest.raises(ValueError):
+            log_laguerre_nonpos(np.array([1, -1]), 0, -1.0)
+        with pytest.raises(ValueError):
+            log_laguerre_nonpos(np.array([3, 3]), np.array([0, -4]), -1.0)
+
 
 class TestKummer:
     def test_empty_series_at_zero(self):
@@ -202,3 +245,20 @@ class TestSignedLogValue:
 def test_kummer_overflow_guard():
     with pytest.raises(OverflowError):
         kummer_phi(500, 1, 700.0)
+
+
+def test_kummer_overflow_raises_at_the_first_overflowing_term():
+    # the index grids build_inverse passes for a 200 x 200 window
+    n = np.arange(200)[:, None]
+    m = np.arange(200)[None, :]
+    with pytest.raises(OverflowError) as info:
+        log_kummer(np.maximum(n, m) + 1.0, np.abs(n - m) + 1.0, 700.0)
+    found = re.search(r"overflowed at term (\d+)", str(info.value))
+    assert found, str(info.value)
+    assert 0 < int(found.group(1)) < _KUMMER_MAX_TERMS
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_kummer_non_finite_argument_rejected(x):
+    with pytest.raises(ValueError, match="finite"):
+        kummer_phi(2, 1, x)
