@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, distio, states
+from . import __version__, distio
 from .detector import DetectorParams, build_response, forward, suggest_m_max
 from .experiment import (
     build_state,
@@ -34,6 +34,7 @@ from .inversion import direct_reconstruct
 from .landweber import solve
 from .metrics import normalization_defect, relative_error, relative_residual
 from .sampling import GENERATOR_NAME, SamplingConfig, sample_counts
+from .states import PhotonDistribution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,8 +76,8 @@ def _cmd_build_detector(args) -> int:
 def _cmd_forward(args) -> int:
     mat = distio.read_matrix(args.detector)
     values, _ = distio.read_distribution(args.state)
-    states._require_probabilities(values)
-    photon = states.PhotonDistribution(values, max(0.0, 1.0 - float(values.sum())))
+    photon = PhotonDistribution(values, max(0.0, 1.0 - float(values.sum())))
+    photon.validate()
     counts = forward(mat, photon)
     distio.write_distribution(args.output, counts.probs, fmt=args.format)
     print(f"wrote {args.output}")
@@ -105,7 +106,7 @@ def _cmd_reconstruct(args) -> int:
     mat = distio.read_matrix(args.detector)
     counts, metadata = distio.read_counts(args.counts)
     options = {
-        "chi": None if args.chi == "auto" else args.chi,
+        "chi": None if args.chi == "auto" else float(args.chi),
         "max_iterations": args.max_iterations,
         "discrepancy_tau": args.tau,
         "noise_level": args.noise_level,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import log_factorial_table, log_laguerre_nonpos
-from .states import _SUM_UPPER_SLACK, PhotonDistribution
+from .states import (_SUM_UPPER_SLACK, PhotonDistribution, _check_tail,
+                     _require_probabilities, _require_real)
 
 __all__ = [
     "DetectorParams",
@@ -45,12 +46,12 @@ class DetectorParams:
     n_noise: float
 
     def __post_init__(self):
+        for name in ("eta", "n_noise"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if not (math.isfinite(self.n_noise) and self.n_noise >= 0.0):
-            raise ValueError(
-                f"n_noise must be finite and >= 0, got {self.n_noise}"
-            )
+        if self.n_noise < 0.0:
+            raise ValueError(f"n_noise must be >= 0, got {self.n_noise}")
 
     @property
     def laguerre_arg(self) -> float:
@@ -70,20 +71,9 @@ class CountDistribution:
     def validate(self) -> None:
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
-        bad = np.flatnonzero(~np.isfinite(self.probs))
-        if bad.size:
-            raise ValueError(
-                "count probabilities must be finite, got "
-                f"{self.probs[bad[0]]} at m={bad[0]}"
-            )
-        if np.any(self.probs < 0):
-            raise ValueError("count probabilities must be nonnegative")
+        _require_probabilities(self.probs, "count", "m")
         if float(self.probs.sum()) > 1.0 + _SUM_UPPER_SLACK:
             raise ValueError("count probabilities sum to more than 1")
-
-    @property
-    def m_max(self) -> int:
-        return self.probs.size - 1
 
 
 @dataclass(frozen=True)
@@ -228,8 +218,7 @@ def suggest_m_max(params: DetectorParams, n_max: int, tail: float) -> int:
 
     The worst column is n_max (the conditional count mean grows with n).
     """
-    if not (0.0 < tail < 1.0):
-        raise ValueError(f"tail must be in (0, 1), got {tail}")
+    _check_tail(tail)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if params.n_noise == 0.0:

@@ -113,14 +113,7 @@ def write_distribution(path, values, metadata=None, fmt: str = "json") -> None:
 
 def read_distribution(path) -> tuple[np.ndarray, dict]:
     """Read any accepted distribution format; returns (values, metadata)."""
-    text = Path(path).read_text(encoding="utf-8")
-    values = parse_vector(text)
-    metadata = {}
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        payload = json.loads(stripped)
-        metadata = {k: v for k, v in payload.items() if k != "probs"}
-    return values, metadata
+    return parse_vector(Path(path).read_text(encoding="utf-8"))
 
 
 def write_matrix(path, mat: ResponseMatrix) -> None:

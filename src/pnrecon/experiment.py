@@ -16,7 +16,6 @@ import inspect
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .inversion import direct_reconstruct
 from .landweber import ConstraintSet, LandweberConfig, solve
 from .metrics import ErrorReport, normalization_defect, relative_error, relative_residual
 from .sampling import GENERATOR_NAME, SamplingConfig, expected_sampling_error, sample_counts
-from .sampling import _require_integer
+from .states import _require_integer, _require_real
 
 __all__ = [
     "ConfigError",
@@ -45,11 +44,7 @@ __all__ = [
 # state kinds; each names its builder in ``states`` ("file": from_file)
 _STATE_KINDS = ("thermal", "spats", "even_cat", "fock", "file")
 
-# solver option -> its LandweberConfig value (integers checked, not coerced)
-_SOLVER_OPTIONS = dict(
-    chi=float, discrepancy_tau=float, noise_level=float, stagnation_tol=float,
-    max_iterations=partial(_require_integer, "max_iterations"),
-)
+_SOLVER_KEYS = ("chi", "max_iterations", "discrepancy_tau", "noise_level", "stagnation_tol")
 
 _CONFIG_KEYS = ("name", "state", "detector_true", "detector_assumed", "sampling",
                 "solver", "constraints", "window_tail", "m_max", "direct_inversion")
@@ -89,17 +84,14 @@ def solver_config(options: dict, counts=None, events=None) -> LandweberConfig:
     """LandweberConfig from solver options; an option that is absent or
     None takes the LandweberConfig default, except that noise_level
     defaults to expected_sampling_error(counts, events) given events."""
+    _check_keys("solver", options, _SOLVER_KEYS)
     try:
-        kwargs = {
-            key: _SOLVER_OPTIONS[key](value)
-            for key, value in options.items()
-            if value is not None
-        }
+        kwargs = {key: value for key, value in options.items() if value is not None}
         if "noise_level" not in kwargs and events is not None:
             SamplingConfig(events)  # checks that events is an integer >= 1
             kwargs["noise_level"] = expected_sampling_error(counts, events)
         return LandweberConfig(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
 
@@ -187,16 +179,17 @@ class ExperimentConfig:
             else:
                 sampling_args = dict(data["sampling"])
                 if seed is not None:
-                    sampling_args["seed"] = _require_integer("seed", seed)
-                    data["sampling"] = sampling_args
+                    sampling_args["seed"] = seed
                 sampling = SamplingConfig(**sampling_args)
+                if seed is not None:
+                    data["sampling"] = {**sampling_args, "seed": sampling.seed}
             solver = dict(data.get("solver", {}))
             solver_config(solver)
             constraints = dict(data.get("constraints", {}))
             _check_keys("constraints", constraints, ("support",))
             support = constraints.get("support")
             _check_support(support)
-            window_tail = float(data.get("window_tail", 1e-10))
+            window_tail = _require_real("window_tail", data.get("window_tail", 1e-10))
             if not (0.0 < window_tail < 1.0):
                 raise ConfigError(f"window_tail must be in (0, 1), got {window_tail}")
             m_max = data.get("m_max")

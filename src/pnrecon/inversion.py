@@ -21,6 +21,7 @@ import numpy as np
 
 from .detector import CountDistribution, DetectorParams
 from .special import MAX_LOG, SignedLogValue, kummer_phi, log_factorial_table, log_kummer
+from .states import _require_probabilities
 
 __all__ = [
     "InverseMatrix",
@@ -49,19 +50,6 @@ class InverseMatrix:
     log_magnitude: np.ndarray
     sign: np.ndarray
     params: DetectorParams
-
-    @property
-    def n_max(self) -> int:
-        return self.log_magnitude.shape[0] - 1
-
-    @property
-    def m_max(self) -> int:
-        return self.log_magnitude.shape[1] - 1
-
-    def entry(self, n: int, m: int) -> SignedLogValue:
-        return SignedLogValue(
-            float(self.log_magnitude[n, m]), int(self.sign[n, m])
-        )
 
     def to_dense(self) -> np.ndarray:
         """Materialize the entries as plain floats; raises when any entry
@@ -196,8 +184,7 @@ def direct_reconstruct(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     probs = np.asarray(counts.probs, dtype=float)
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("count distribution contains non-finite entries")
+    _require_probabilities(probs, "count", "m")
     inv = build_inverse(params, n_max, probs.size - 1)
     with np.errstate(divide="ignore"):
         log_counts = np.where(probs > 0, np.log(probs), -math.inf)

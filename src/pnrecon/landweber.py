@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import CountDistribution, ResponseMatrix, zero_pad
+from .states import _require_integer, _require_real
 
 __all__ = [
     "ConstraintSet",
@@ -82,9 +83,11 @@ class LandweberConfig:
 
     def __post_init__(self):
         for name in ("chi", "discrepancy_tau", "noise_level", "stagnation_tol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        object.__setattr__(
+            self, "max_iterations", _require_integer("max_iterations", self.max_iterations)
+        )
         if self.chi is not None and self.chi <= 0:
             raise ValueError(f"chi must be positive, got {self.chi}")
         if self.max_iterations < 1:
@@ -201,15 +204,12 @@ def solve(
         )
 
     top = _sigma_max_sq(matrix)
-    if config.chi is None:
-        chi = 1.0 / top
-    else:
-        chi = float(config.chi)
-        if chi >= 2.0 / top:
-            raise RelaxationBoundError(
-                f"chi={chi} is outside the convergence interval "
-                f"(0, {2.0 / top:.6g})"
-            )
+    chi = 1.0 / top if config.chi is None else config.chi
+    if chi >= 2.0 / top:
+        raise RelaxationBoundError(
+            f"chi={chi} is outside the convergence interval "
+            f"(0, {2.0 / top:.6g})"
+        )
 
     if config.initial is None:
         p = np.zeros(cols)

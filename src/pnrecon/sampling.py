@@ -11,13 +11,13 @@ on the chunk size.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import CountDistribution
+from .states import _require_integer, _require_probabilities
 
 __all__ = [
     "GENERATOR_NAME",
@@ -32,14 +32,6 @@ _SEED_LIMIT = 2**64
 _CHUNK_EVENTS = 2**16
 
 
-def _require_integer(name: str, value) -> int:
-    """``value`` as an int; a bool, float or other non-integer (even 10.0)
-    raises ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SamplingConfig:
     """Number of sampling events and the 64-bit generator seed."""
@@ -49,7 +41,7 @@ class SamplingConfig:
 
     def __post_init__(self):
         for name in ("events", "seed"):
-            _require_integer(name, getattr(self, name))
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.events < 1:
             raise ValueError(f"events must be >= 1, got {self.events}")
         if not (0 <= self.seed < _SEED_LIMIT):
@@ -75,12 +67,7 @@ def sample_counts(
     Identical inputs and seed give bit-identical output.
     """
     probs = np.asarray(true_dist.probs, dtype=float)
-    if np.any(probs < 0):
-        bad = int(np.argmin(probs))
-        raise ValueError(
-            f"invalid distribution: negative entry {probs[bad]!r} at "
-            f"index {bad}"
-        )
+    _require_probabilities(probs, "count", "m")
     total = float(probs.sum())
     if total <= 0.0:
         raise ValueError("invalid distribution: total mass is zero")

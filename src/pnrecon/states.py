@@ -9,6 +9,7 @@ audit truncation error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +67,11 @@ class PhotonDistribution:
     def validate(self) -> None:
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
-        _require_probabilities(self.probs)
+        _require_probabilities(self.probs, "photon", "n")
         total = float(self.probs.sum())
-        if not (1.0 - self.truncation_tail <= total <= 1.0 + _SUM_UPPER_SLACK):
+        # 1 - total <= tail, not 1 - tail <= total: a tail computed as
+        # 1 - total passes whatever the rounding
+        if not (1.0 - total <= self.truncation_tail and total <= 1.0 + _SUM_UPPER_SLACK):
             raise ValueError(
                 f"total mass {total!r} outside "
                 f"[1 - {self.truncation_tail!r}, 1 + 1e-12]"
@@ -79,14 +82,33 @@ class PhotonDistribution:
         return self.probs.size - 1
 
 
-def _require_probabilities(values: np.ndarray) -> None:
-    """Reject non-finite photon probabilities (naming the first) and
-    negative ones (naming the most negative)."""
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float or other non-integer (even 10.0)
+    raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_real(name: str, value) -> float:
+    """``value`` as a float; a bool, string or other non-number raises
+    TypeError naming it, a NaN or infinity ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
+def _require_probabilities(values: np.ndarray, kind: str, index: str) -> None:
+    """Reject non-finite probabilities (naming the first, at ``index``=i)
+    and negative ones (naming the most negative); ``kind`` is "photon" or
+    "count"."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(
-            "photon probabilities must be finite, got "
-            f"{values[bad[0]]} at n={bad[0]}"
+            f"{kind} probabilities must be finite, got "
+            f"{values[bad[0]]} at {index}={bad[0]}"
         )
     if np.any(values < 0):
         bad = int(np.argmin(values))
@@ -95,8 +117,8 @@ def _require_probabilities(values: np.ndarray) -> None:
         )
 
 
-def _check_tail(tail: float) -> None:
-    if not (0.0 < tail < 1.0):
+def _check_tail(tail) -> None:
+    if not (0.0 < _require_real("tail", tail) < 1.0):
         raise ValueError(f"tail must be in (0, 1), got {tail}")
 
 
@@ -124,7 +146,7 @@ def thermal(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
     Truncated at the smallest window holding at least 1 - tail of the
     (geometric) mass.
     """
-    if mean_n <= 0:
+    if _require_real("mean_n", mean_n) <= 0:
         raise ValueError(f"mean_n must be positive, got {mean_n}")
     _check_tail(tail)
     ratio = mean_n / (1.0 + mean_n)
@@ -139,7 +161,7 @@ def spats(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
     mean_n is the thermal mean nbar before the photon is added; the mean
     photon number of the returned state is 2 nbar + 1.
     """
-    if mean_n <= 0:
+    if _require_real("mean_n", mean_n) <= 0:
         raise ValueError(f"mean_n must be positive, got {mean_n}")
     _check_tail(tail)
     ratio = mean_n / (1.0 + mean_n)
@@ -156,7 +178,7 @@ def even_cat(alpha_sq: float, tail: float = 1e-10) -> PhotonDistribution:
     overflows a double beyond n of roughly 35 at the magnitudes of
     interest.
     """
-    if alpha_sq <= 0:
+    if _require_real("alpha_sq", alpha_sq) <= 0:
         raise ValueError(f"alpha_sq must be positive, got {alpha_sq}")
     _check_tail(tail)
     log_norm = math.log(2.0) - alpha_sq - math.log1p(math.exp(-2.0 * alpha_sq))
@@ -172,16 +194,17 @@ def even_cat(alpha_sq: float, tail: float = 1e-10) -> PhotonDistribution:
 
 def fock(n: int) -> PhotonDistribution:
     """Delta distribution concentrated at photon number n."""
-    if n < 0:
+    if _require_integer("n", n) < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     probs = np.zeros(n + 1)
     probs[n] = 1.0
     return PhotonDistribution(probs, 0.0)
 
 
-def parse_vector(text: str) -> np.ndarray:
+def parse_vector(text: str) -> tuple[np.ndarray, dict]:
     """Parse a distribution payload: a JSON array, a JSON object with a
-    "probs" array, or comma/whitespace-separated reals."""
+    "probs" array (its other keys are returned as metadata), or
+    comma/whitespace-separated reals. Returns (values, metadata)."""
     import json
 
     stripped = text.strip()
@@ -192,9 +215,11 @@ def parse_vector(text: str) -> np.ndarray:
             payload = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
+        metadata = {}
         if isinstance(payload, dict):
             if "probs" not in payload:
                 raise ParseError('JSON object lacks a "probs" array')
+            metadata = {k: v for k, v in payload.items() if k != "probs"}
             payload = payload["probs"]
         if not isinstance(payload, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -203,10 +228,10 @@ def parse_vector(text: str) -> np.ndarray:
             raise ParseError("JSON payload is not an array of reals")
         if not payload:
             raise ParseError("empty distribution file")
-        return np.array(payload, dtype=float)
+        return np.array(payload, dtype=float), metadata
     tokens = stripped.replace(",", " ").split()
     try:
-        return np.array([float(t) for t in tokens])
+        return np.array([float(t) for t in tokens]), {}
     except ValueError as exc:
         raise ParseError(f"invalid numeric token: {exc}") from exc
 
@@ -219,8 +244,8 @@ def from_file(path) -> PhotonDistribution:
     signals an upstream mistake the caller has to see.
     """
     with open(path, encoding="utf-8") as handle:
-        values = parse_vector(handle.read())
-    _require_probabilities(values)
+        values, _ = parse_vector(handle.read())
+    _require_probabilities(values, "photon", "n")
     total = float(values.sum())
     if abs(total - 1.0) > _FILE_SUM_TOL:
         raise SumDeviationError(

@@ -214,19 +214,21 @@ class TestExitCodes:
 
     def test_forward_tolerates_sum_defects_but_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.txt"
-        bad.write_text("0.3, 0.3")
         det = tmp_path / "S.json"
         run_cli(
             "build-detector", "--eta", "0.9", "--noise", "0.0",
             "--n-max", "3", "--output", str(det),
         )
-        code = run_cli(
-            "forward",
-            "--detector", str(det),
-            "--state", str(bad),
-            "--output", str(tmp_path / "o.json"),
-        )
-        assert code == 0  # forward does not renormalize or gate on sums
+        # for the sums 0.3 of "0.05, 0.25" and 0.15, 1 - (1 - s) rounds above s
+        for text in ("0.3, 0.3", "0.05, 0.25", "0.15"):
+            bad.write_text(text)
+            code = run_cli(
+                "forward",
+                "--detector", str(det),
+                "--state", str(bad),
+                "--output", str(tmp_path / "o.json"),
+            )
+            assert code == 0  # forward does not renormalize or gate on sums
         bad.write_text("junk")
         assert run_cli(
             "forward",
@@ -234,6 +236,27 @@ class TestExitCodes:
             "--state", str(bad),
             "--output", str(tmp_path / "o.json"),
         ) == 2
+
+    def test_forward_rejects_over_normalized_state(self, tmp_path, capsys):
+        det = tmp_path / "S.json"
+        state = tmp_path / "state.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--output", str(det),
+        ) == 0
+        state.write_text("[0.9, 0.8]")
+        capsys.readouterr()
+        code = run_cli(
+            "forward",
+            "--detector", str(det),
+            "--state", str(state),
+            "--output", str(tmp_path / "P.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "P.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "forward"
+        assert "total mass 1.7" in err["message"]
 
     def test_direct_inversion_overflow_is_3(self, tmp_path, capsys):
         counts = tmp_path / "P.json"
@@ -398,6 +421,13 @@ class TestExitCodes:
             {"direct_inversion": 1},
             {"windowtail": 1e-8},
             {"constraints": {"suport": "even"}},
+            {"detector_true": {"eta": True, "n_noise": 0.2}},
+            {"detector_assumed": {"eta": 0.78, "n_noise": False}},
+            {"window_tail": "1e-8"},
+            {"solver": {"discrepancy_tau": True}},
+            {"solver": {"noise_level": False}},
+            {"solver": {"stagnation_tol": "1e-9"}},
+            {"state": {"kind": "thermal", "mean_n": True}},
         ],
         ids=[
             "state-key-missing",
@@ -418,6 +448,13 @@ class TestExitCodes:
             "direct-inversion-int",
             "top-level-key-unknown",
             "constraints-key-unknown",
+            "eta-bool",
+            "n-noise-bool",
+            "window-tail-string",
+            "discrepancy-tau-bool",
+            "noise-level-bool",
+            "stagnation-tol-string",
+            "mean-n-bool",
         ],
     )
     def test_malformed_config_is_2_before_any_output(
@@ -565,6 +602,13 @@ class TestRunExperiment:
     def test_non_integral_seed_override_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed must be an integer"):
             ExperimentConfig.from_dict(SMALL_CONFIG, seed=seed)
+
+    def test_numpy_seed_override_accepted(self):
+        config = ExperimentConfig.from_dict(SMALL_CONFIG, seed=np.int64(3))
+        assert config.raw["sampling"]["seed"] == 3
+        assert config.config_hash() == (
+            ExperimentConfig.from_dict(SMALL_CONFIG, seed=3).config_hash()
+        )
 
     def test_list_support_and_explicit_window(self, tmp_path):
         support = [0, 1, 2, 4, 7]

@@ -67,6 +67,18 @@ class TestDetectorParams:
         with pytest.raises(ValueError, match="finite"):
             DetectorParams(0.5, noise)
 
+    @pytest.mark.parametrize(
+        "eta, noise", [(True, 0.1), (0.5, False), ("0.5", 0.1), (0.5, None)]
+    )
+    def test_non_numbers_rejected(self, eta, noise):
+        with pytest.raises(TypeError, match="must be a real number"):
+            DetectorParams(eta, noise)
+
+    def test_numpy_scalars_accepted(self):
+        params = DetectorParams(np.float64(0.5), np.int64(0))
+        assert params == DetectorParams(0.5, 0.0)
+        assert type(params.n_noise) is float
+
     def test_laguerre_arg_sign(self):
         assert DetectorParams(0.34, 0.30).laguerre_arg <= 0
         assert DetectorParams(1.0, 0.5).laguerre_arg == 0

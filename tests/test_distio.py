@@ -204,6 +204,15 @@ class TestDistributionFiles:
         assert np.array_equal(back, values)
         assert metadata == {}
 
+    def test_json_object_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.json"
+        distio.write_distribution(path, [0.5, 0.5], metadata={"nu": 10})
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+        assert distio.read_distribution(path)[1] == {"nu": 10}
+        assert len(calls) == 1
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             distio.write_distribution(tmp_path / "d", np.ones(1), fmt="xml")

@@ -365,6 +365,9 @@ class TestSolve:
             LandweberConfig(discrepancy_tau=0.5)
         with pytest.raises(ValueError):
             LandweberConfig(max_iterations=0)
+        for value in (10.5, 10.0, True):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                LandweberConfig(max_iterations=value)
 
     @pytest.mark.parametrize(
         "field", ["chi", "discrepancy_tau", "noise_level", "stagnation_tol"]
@@ -373,6 +376,23 @@ class TestSolve:
     def test_config_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LandweberConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["chi", "discrepancy_tau", "noise_level", "stagnation_tol"]
+    )
+    @pytest.mark.parametrize("value", [True, "1.5", [1.5]])
+    def test_config_rejects_non_numbers(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be a real number"):
+            LandweberConfig(**{field: value})
+
+    def test_config_accepts_and_stores_numpy_scalars(self):
+        config = LandweberConfig(
+            chi=np.float64(0.5), max_iterations=np.int64(7),
+            discrepancy_tau=np.float32(1.5), noise_level=np.int64(0),
+        )
+        assert (config.chi, config.max_iterations) == (0.5, 7)
+        assert type(config.discrepancy_tau) is float
+        assert type(config.max_iterations) is int
 
     def test_dimension_checks(self):
         mat = plain_matrix(np.eye(3))

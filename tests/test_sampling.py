@@ -144,9 +144,10 @@ class TestSampleCounts:
         assert 0.015 <= delta <= 0.045
 
     def test_negative_entries_rejected(self):
-        dist = CountDistribution(np.array([0.5, -0.1, 0.6]))
-        with pytest.raises(ValueError):
-            sample_counts(dist, SamplingConfig(events=10, seed=0))
+        for bad in (-0.1, np.nan, np.inf):  # NaN used to become a full bin
+            dist = CountDistribution(np.array([0.5, bad, 0.6]))
+            with pytest.raises(ValueError):
+                sample_counts(dist, SamplingConfig(events=10, seed=0))
 
     def test_zero_mass_rejected(self):
         dist = CountDistribution(np.zeros(4))

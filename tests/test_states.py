@@ -36,6 +36,11 @@ class TestThermal:
         mean = math.fsum(n * p for n, p in enumerate(dist.probs))
         assert mean == pytest.approx(30.0, rel=1e-6)
 
+    def test_numpy_scalars_accepted(self):
+        assert np.array_equal(
+            thermal(np.float64(3.0), np.float64(1e-6)).probs, thermal(3.0, 1e-6).probs
+        )
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             thermal(0.0, 1e-10)
@@ -43,6 +48,9 @@ class TestThermal:
             thermal(5.0, 0.0)
         with pytest.raises(ValueError):
             thermal(5.0, 1.0)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mean_n must be finite"):
+                thermal(value)
 
 
 class TestSpats:
@@ -100,6 +108,11 @@ class TestFock:
         with pytest.raises(ValueError):
             fock(-1)
 
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            fock(n)
+
 
 @pytest.mark.parametrize("tail", [1e-6, 1e-10])
 @pytest.mark.parametrize(
@@ -117,6 +130,17 @@ def test_generator_outputs_satisfy_invariants(build, tail):
     total = float(dist.probs.sum())
     assert 1.0 - dist.truncation_tail <= total <= 1.0 + 1e-12
     assert dist.truncation_tail <= tail
+
+
+@pytest.mark.parametrize(
+    "build", [thermal, spats, even_cat], ids=["thermal", "spats", "even_cat"]
+)
+@pytest.mark.parametrize("value", [True, "5.0", None])
+def test_generator_rejects_non_number_parameters(build, value):
+    with pytest.raises(TypeError, match="must be a real number"):
+        build(value)
+    with pytest.raises(TypeError, match="tail must be a real number"):
+        build(5.0, value)
 
 
 class TestFromFile:
@@ -184,6 +208,11 @@ class TestPhotonDistributionValidate:
         dist = PhotonDistribution(np.array([0.5, -0.1, 0.6]), 0.0)
         with pytest.raises(ValueError):
             dist.validate()
+
+    @pytest.mark.parametrize("values", [[0.05, 0.25], [0.15]])
+    def test_tail_of_one_minus_sum_passes_whatever_the_rounding(self, values):
+        probs = np.array(values)
+        PhotonDistribution(probs, max(0.0, 1.0 - float(probs.sum()))).validate()
 
     def test_mass_window_enforced(self):
         dist = PhotonDistribution(np.array([0.5, 0.4]), 1e-12)
