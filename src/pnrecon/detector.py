@@ -123,47 +123,42 @@ def response_entry(params: DetectorParams, m: int, n: int) -> float:
     """Probability S[m|n] of m photocounts given n photons."""
     if m < 0 or n < 0:
         raise ValueError(f"require m, n >= 0, got m={m}, n={n}")
-    if m >= n:
-        log_value = _log_entry_m_ge_n(params, m, n)
-    else:
-        log_value = _log_entry_m_le_n(params, m, n)
-    return math.exp(log_value) if log_value != -math.inf else 0.0
+    return math.exp((_log_entry_m_ge_n if m >= n else _log_entry_m_le_n)(params, m, n))
 
 
 def _log_laguerre_table(x: float, r_max: int, s_max: int) -> np.ndarray:
-    """Table of ln L_r^s(x) for r = 0..r_max, s = 0..s_max, x <= 0; column
-    s + 1 is the running log-sum of column s, since L_r^{s+1}(x) =
-    sum_{i<=r} L_i^s(x) (order-sum identity, DLMF 18.18).
-    """
-    r = np.arange(r_max + 1)
-    if x == 0.0:
-        return log_laguerre_nonpos(r[:, None], np.arange(s_max + 1), x)
-    out = np.empty((s_max + 1, r_max + 1))
-    out[0] = log_laguerre_nonpos(r, 0, x)
-    for s in range(s_max):
-        np.logaddexp.accumulate(out[s], out=out[s + 1])
-    return out.T
+    """Table of ln L_r^s(x), r <= r_max, s <= s_max, x <= 0: the three-term
+    recurrence (DLMF 18.9.13) on rho_r = L_r^s / L_{r-1}^s over all s, run on
+    eps = rho - 1 >= 0 with no cancellation: eps_1 = s - x and (r+1) eps_{r+1}
+    = (r+s) eps_r / rho_r - x. L is the product of the rhos as mantissa *
+    2**exponent; a running sum of ln rho would round r times at |ln L|."""
+    s, out = np.arange(s_max + 1.0), np.zeros((r_max + 1, s_max + 1))
+    eps, mantissa, exponent = s - x, np.ones_like(s), np.zeros_like(s)
+    for r in range(1, r_max + 1):
+        rho = 1.0 + eps
+        mantissa, step = np.frexp(mantissa * rho)
+        exponent += step
+        np.add(np.log2(mantissa), exponent, out=out[r])
+        eps = ((s + r) * eps / rho - x) / (r + 1)
+    out *= math.log(2.0)
+    return out
 
 
-def _log_entries(params: DetectorParams, m, n, log_laguerre) -> np.ndarray:
-    """ln S[m|n] over broadcastable index arrays m, n; ``log_laguerre(low,
-    diff)`` gives ln L_low^diff at the detector's Laguerre argument."""
-    noise = params.n_noise
-    table = log_factorial_table(int(max(np.max(m), np.max(n))))
-    diff = np.abs(m - n)
-    log_eta = math.log(params.eta)
-    log_up = -noise + n * log_eta + table[n] - table[m]
-    if noise > 0.0:
-        log_up = log_up + diff * math.log(noise)
+def _log_entries(params: DetectorParams, low, diff, lag, upper: bool) -> None:
+    """Add the rest of ln S[m|n] in place to ``lag`` = ln L_low^diff at table
+    coordinates low, diff (broadcastable integer arrays): m = low + diff and
+    n = low on the upper branch, m = low and n = low + diff on the lower; a
+    zero noise (upper) or loss (lower) leaves only the diff = 0 entries."""
+    lag += -params.n_noise + low * math.log(params.eta)
+    if upper:
+        m = low + diff
+        table = log_factorial_table(int(np.max(m, initial=0)))
+        lag += table[low]
+        lag -= table[m]
+        base = math.log(params.n_noise) if params.n_noise > 0.0 else -math.inf
     else:
-        log_up = np.where(diff > 0, -math.inf, log_up)
-    log_lo = -noise + m * log_eta
-    if params.eta < 1.0:
-        log_lo = log_lo + diff * math.log1p(-params.eta)
-    else:
-        log_lo = np.where(diff > 0, -math.inf, log_lo)
-    lag = log_laguerre(np.minimum(m, n), diff)
-    return np.where(m >= n, log_up, log_lo) + lag
+        base = math.log1p(-params.eta) if params.eta < 1.0 else -math.inf
+    lag += diff * base if base > -math.inf else np.where(diff > 0, -math.inf, 0.0)
 
 
 def build_response(
@@ -171,22 +166,23 @@ def build_response(
 ) -> ResponseMatrix:
     """Materialize the dense response matrix on the given window.
 
-    Equivalent to filling every entry with :func:`response_entry`; the
-    whole matrix shares one Laguerre argument, so the polynomial values
-    are tabulated once and the entries assembled vectorized. The table
-    holds ln L_r^s for r up to min(n_max, m_max) and s up to
-    max(n_max, m_max): order 0 is summed from the series, and each higher
-    order is a running log-sum of the previous one (order-sum identity),
-    so the table costs O(r*s) exp/log evaluations and one table of memory.
+    Equivalent to filling every entry with :func:`response_entry`. Each
+    branch is evaluated once on its slice of one ln L_r^s table; table row r
+    then fills matrix row m = r (lower branch, n >= r) and column n = r
+    (upper branch, m > r), and one in-place exp ends the build.
     """
     if n_max < 0 or m_max < 0:
         raise ValueError("n_max and m_max must be nonnegative")
-    lag = _log_laguerre_table(
-        params.laguerre_arg, min(n_max, m_max), max(n_max, m_max)
-    )
-    m = np.arange(m_max + 1)[:, None]
-    n = np.arange(n_max + 1)[None, :]
-    entries = np.exp(_log_entries(params, m, n, lambda low, diff: lag[low, diff]))
+    r_max = min(n_max, m_max)
+    lower = _log_laguerre_table(params.laguerre_arg, r_max, max(n_max, m_max))
+    low, upper = np.arange(r_max + 1)[:, None], lower[:, : m_max + 1].copy()
+    _log_entries(params, low, np.arange(m_max + 1), upper, True)
+    _log_entries(params, low, np.arange(n_max + 1), lower[:, : n_max + 1], False)
+    entries = np.empty((m_max + 1, n_max + 1))
+    for r in range(r_max + 1):
+        entries[r, r:] = lower[r, : n_max + 1 - r]
+        entries[r + 1 :, r] = upper[r, 1 : m_max + 1 - r]
+    np.exp(entries, out=entries)
     col_tail = np.maximum(0.0, 1.0 - entries.sum(axis=0))
     return ResponseMatrix(entries, params, col_tail)
 
@@ -224,14 +220,15 @@ def suggest_m_max(params: DetectorParams, n_max: int, tail: float) -> int:
     if params.n_noise == 0.0:
         # no counts above n: the column is exactly supported on 0..n_max
         return n_max
-    x = params.laguerre_arg
     cap = n_max + _SUGGEST_HARD_MARGIN
     cum = 0.0
     for start in range(0, cap + 1, _SUGGEST_BLOCK):
         m = np.arange(start, min(start + _SUGGEST_BLOCK, cap + 1))
-        log_s = _log_entries(
-            params, m, n_max, lambda low, diff: log_laguerre_nonpos(low, diff, x)
-        )
+        low, diff = np.minimum(m, n_max), np.abs(m - n_max)
+        log_s = log_laguerre_nonpos(low, diff, params.laguerre_arg)
+        split = int(np.searchsorted(m, n_max))  # rows m < n_max come first
+        _log_entries(params, low[:split], diff[:split], log_s[:split], False)
+        _log_entries(params, low[split:], diff[split:], log_s[split:], True)
         # seeded with the running total: the sums of adding entry by entry
         cums = np.cumsum(np.concatenate(([cum], np.exp(log_s))))[1:]
         crossed = np.flatnonzero(1.0 - cums <= tail)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .detector import CountDistribution, DetectorParams, ResponseMatrix
-from .states import ParseError, parse_vector
+from .states import ParseError, _require_integer, parse_vector
 
 __all__ = [
     "dumps",
@@ -136,13 +136,15 @@ def read_matrix(path) -> ResponseMatrix:
         entries = np.asarray(payload["entries"], dtype=float)
         if entries.ndim != 2:
             raise ValueError("entries must be a matrix")
-        expected = (payload["m_max"] + 1, payload["n_max"] + 1)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        m_max, n_max = (_require_integer(k, payload[k]) for k in ("m_max", "n_max"))
+        if min(m_max, n_max) < 0:
+            raise ValueError(f"m_max and n_max must be >= 0, got {m_max}, {n_max}")
+    except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"invalid response-matrix file {path}: {exc}") from exc
-    if entries.shape != expected:
+    if entries.shape != (m_max + 1, n_max + 1):
         raise ParseError(
             f"entries shape {entries.shape} does not match declared window "
-            f"{expected}"
+            f"m_max = {m_max}, n_max = {n_max}"
         )
     bad = np.argwhere(~np.isfinite(entries))
     if bad.size:

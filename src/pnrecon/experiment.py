@@ -103,7 +103,8 @@ def _check_keys(what: str, mapping: dict, allowed) -> None:
 
 def _check_support(support) -> None:
     if support not in (None, "even") and not (
-        isinstance(support, list) and all(type(n) is int and n >= 0 for n in support)
+        isinstance(support, list)
+        and all(_require_integer("support", n) >= 0 for n in support)
     ):
         raise ConfigError(
             'constraints.support must be null, "even" or a list of photon '

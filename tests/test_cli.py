@@ -16,6 +16,7 @@ from pnrecon.experiment import (
     ConfigError,
     ExperimentConfig,
     build_state,
+    constraint_set,
     load_config,
     run_experiment,
 )
@@ -308,6 +309,30 @@ class TestExitCodes:
             "count probabilities must be finite, got nan at m=2"
         )
 
+    def test_integral_float_matrix_window_is_2(self, tmp_path, capsys):
+        det = tmp_path / "S.json"
+        counts = tmp_path / "P.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--m-max", "5", "--output", str(det),
+        ) == 0
+        payload = json.loads(det.read_text())
+        det.write_text(json.dumps({**payload, "m_max": 5.0}))
+        distio.write_distribution(counts, [0.5, 0.2, 0.2, 0.1, 0.0, 0.0])
+        capsys.readouterr()
+        code = run_cli(
+            "reconstruct",
+            "--detector", str(det),
+            "--counts", str(counts),
+            "--events", "1000",
+            "--output", str(tmp_path / "p.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "p.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert str(det) in err["message"]
+
     def test_non_finite_photon_vector_rejected_before_forward(
         self, tmp_path, capsys
     ):
@@ -428,6 +453,8 @@ class TestExitCodes:
             {"solver": {"noise_level": False}},
             {"solver": {"stagnation_tol": "1e-9"}},
             {"state": {"kind": "thermal", "mean_n": True}},
+            {"constraints": {"support": [0, True]}},
+            {"constraints": {"support": [0, 2.0]}},
         ],
         ids=[
             "state-key-missing",
@@ -455,6 +482,8 @@ class TestExitCodes:
             "noise-level-bool",
             "stagnation-tol-string",
             "mean-n-bool",
+            "support-bool",
+            "support-integral-float",
         ],
     )
     def test_malformed_config_is_2_before_any_output(
@@ -626,6 +655,17 @@ class TestRunExperiment:
         off[support] = False
         assert np.all(estimate[off] == 0.0)
         assert np.all(estimate[support] > 0.0)
+
+    @pytest.mark.parametrize(
+        "support,mask",
+        [
+            ([np.int64(0), 2], [True, False, True, False, False]),
+            (list(np.arange(3)), [True, True, True, False, False]),
+        ],
+        ids=["mixed", "arange"],
+    )
+    def test_numpy_integer_support_accepted(self, support, mask):
+        assert constraint_set(support, 5).support_mask.tolist() == mask
 
     def test_seed_override_rejected_without_sampling(self):
         payload = dict(SMALL_CONFIG)

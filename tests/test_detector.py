@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -156,6 +157,44 @@ class TestBuildResponse:
                     response_entry(params, m, n), rel=1e-13, abs=1e-300
                 )
 
+    @pytest.mark.parametrize(
+        "params,n_max,m_max",
+        [
+            (DetectorParams(1.0, 0.748), 12, 20),
+            (DetectorParams(0.45, 0.0), 20, 12),
+            (DetectorParams(0.7764, 0.748), 25, 40),
+            (DetectorParams(0.34, 0.30), 40, 25),
+        ],
+        ids=["unit-eta", "zero-noise", "m-max-above-n-max", "m-max-below-n-max"],
+    )
+    def test_matches_scalar_entries_cell_by_cell(self, params, n_max, m_max):
+        mat = build_response(params, n_max, m_max)
+        expected = np.array(
+            [
+                [response_entry(params, m, n) for n in range(n_max + 1)]
+                for m in range(m_max + 1)
+            ]
+        )
+        zero = expected == 0.0
+        assert np.array_equal(mat.entries == 0.0, zero)
+        np.testing.assert_allclose(
+            mat.entries[~zero], expected[~zero], rtol=1e-12, atol=0.0
+        )
+
+    def test_thermal_window_peak_memory(self):
+        # the Laguerre table and the matrix of this 322 x 703 window take
+        # 1.81 MB each; full-grid index and value temporaries would add
+        # several more
+        params = load_config("thermal_fig1").detector_assumed
+        build_response(params, 702, 321)
+        tracemalloc.start()
+        try:
+            build_response(params, 702, 321)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_binomial_loss_columns_sum_to_one(self):
         mat = build_response(DetectorParams(0.5, 0.0), 30, 30)
         sums = mat.entries.sum(axis=0)
@@ -213,7 +252,7 @@ def log_rel_diff(a: float, b: float) -> float:
 
 
 class TestLaguerreTable:
-    """The order-sum table against the scalar series and mpmath."""
+    """The ratio-recurrence table against the scalar series and mpmath."""
 
     # the assumed detector and (r_max, s_max) = (min, max) of the window
     # that `run` builds for each bundled config
@@ -235,6 +274,33 @@ class TestLaguerreTable:
             assert log_rel_diff(lag[r, s], scalar) <= 1e-11, (r, s)
         for r, s in zip(rs[:20].tolist(), ss[:20].tolist()):
             exact = mp.log(mp.laguerre(r, s, mp.mpf(x)))
+            assert abs(mp.expm1(mp.mpf(lag[r, s]) - exact)) <= 1e-12, (r, s)
+
+    @pytest.mark.parametrize(
+        "params,r_max,s_max",
+        [
+            (DetectorParams(1.0, 0.0), 300, 300),
+            (DetectorParams(0.2, 300.0), 300, 300),
+            (DetectorParams(0.5, 1e-3), 600, 700),
+            (DetectorParams(0.613749, 1.763442), 0, 300),
+            (DetectorParams(0.613749, 1.763442), 300, 0),
+        ],
+        ids=["x-zero-binomials", "x-minus-1200", "x-minus-0.001", "r-max-zero",
+             "s-max-zero"],
+    )
+    def test_edge_windows_against_mpmath(self, params, r_max, s_max):
+        x = params.laguerre_arg
+        lag = _log_laguerre_table(x, r_max, s_max)
+        assert lag.shape == (r_max + 1, s_max + 1)
+        rng = np.random.default_rng(23)
+        rs = rng.integers(0, r_max + 1, size=20).tolist()
+        ss = rng.integers(0, s_max + 1, size=20).tolist()
+        corners = [(0, 0), (r_max, 0), (0, s_max), (r_max, s_max)]
+        for r, s in corners + list(zip(rs, ss)):
+            if x == 0.0:
+                exact = mp.log(mp.binomial(r + s, r))
+            else:
+                exact = mp.log(mp.laguerre(r, s, mp.mpf(x)))
             assert abs(mp.expm1(mp.mpf(lag[r, s]) - exact)) <= 1e-12, (r, s)
 
     @given(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,25 @@ class TestMatrixFiles:
         path = tmp_path / "S.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(ParseError):
+            distio.read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "m_max,n_max,entries",
+        [("5.0", "1", [[1.0, 0.0]] * 6), ("true", "1", [[1.0, 0.0]] * 2),
+         ("1", "-1", [[], []])],
+        ids=["integral-float", "bool", "negative"],
+    )
+    def test_declared_window_must_be_a_nonnegative_integer(
+        self, tmp_path, m_max, n_max, entries
+    ):
+        # each shape matches its window as numbers (5.0 + 1 == 6, True + 1
+        # == 2, -1 + 1 == 0 columns): only the integer rule rejects them
+        path = tmp_path / "S.json"
+        path.write_text(
+            f'{{"eta": 0.5, "n_noise": 0.0, "n_max": {n_max},'
+            f' "m_max": {m_max}, "entries": {entries}}}'
+        )
+        with pytest.raises(ParseError, match=re.escape(f"file {path}:")):
             distio.read_matrix(path)
 
 
