@@ -150,11 +150,12 @@ def _log_entries(params: DetectorParams, low, diff, lag, upper: bool) -> None:
     n = low on the upper branch, m = low and n = low + diff on the lower; a
     zero noise (upper) or loss (lower) leaves only the diff = 0 entries."""
     lag += -params.n_noise + low * math.log(params.eta)
-    if upper:
-        m = low + diff
-        table = log_factorial_table(int(np.max(m, initial=0)))
+    if upper:  # low a column, diff a row of consecutive integers
+        first = int(low.flat[0] + (diff.flat[0] if diff.size else 0))
+        table = log_factorial_table(first + low.size + diff.size)
         lag += table[low]
-        lag -= table[m]
+        step = table.itemsize  # ln m! at m = low + diff as a strided view
+        lag -= np.ndarray((low.size, diff.size), float, table, first * step, (step, step))
         base = math.log(params.n_noise) if params.n_noise > 0.0 else -math.inf
     else:
         base = math.log1p(-params.eta) if params.eta < 1.0 else -math.inf
@@ -228,7 +229,7 @@ def suggest_m_max(params: DetectorParams, n_max: int, tail: float) -> int:
         log_s = log_laguerre_nonpos(low, diff, params.laguerre_arg)
         split = int(np.searchsorted(m, n_max))  # rows m < n_max come first
         _log_entries(params, low[:split], diff[:split], log_s[:split], False)
-        _log_entries(params, low[split:], diff[split:], log_s[split:], True)
+        _log_entries(params, np.array([[n_max]]), diff[split:], log_s[None, split:], True)
         # seeded with the running total: the sums of adding entry by entry
         cums = np.cumsum(np.concatenate(([cum], np.exp(log_s))))[1:]
         crossed = np.flatnonzero(1.0 - cums <= tail)

@@ -195,6 +195,20 @@ class TestBuildResponse:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_transposed_thermal_window_peak_memory(self):
+        # m_max > n_max: the upper branch spans the whole 322 x 703 table;
+        # the table, its upper copy and the matrix take 1.81 MB each, and an
+        # index grid plus a gathered copy of ln m! would add 3.6 MB more
+        params = load_config("thermal_fig1").detector_assumed
+        build_response(params, 321, 702)
+        tracemalloc.start()
+        try:
+            build_response(params, 321, 702)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5e6
+
     def test_binomial_loss_columns_sum_to_one(self):
         mat = build_response(DetectorParams(0.5, 0.0), 30, 30)
         sums = mat.entries.sum(axis=0)

@@ -23,7 +23,7 @@ from pnrecon.landweber import (
 )
 from pnrecon.metrics import relative_error
 from pnrecon.sampling import SamplingConfig, expected_sampling_error, sample_counts
-from pnrecon.states import even_cat, thermal
+from pnrecon.states import even_cat, spats, thermal
 
 
 # (state, true detector, assumed detector) of the bundled run configs
@@ -32,6 +32,11 @@ RUN_WINDOWS = {
         lambda: thermal(30.0, 1e-10),
         DetectorParams(0.34, 0.30),
         DetectorParams(0.35, 0.29),
+    ),
+    "spats_fig2": (
+        lambda: spats(10.0, 1e-10),
+        DetectorParams(0.7764, 0.748),
+        DetectorParams(0.77, 0.75),
     ),
     "cat_fig4": (
         lambda: even_cat(23.9, 1e-10),
@@ -62,6 +67,15 @@ def gram_form_reference(entries, data, chi, constraints, initial, steps):
     for _ in range(steps):
         p = project(p + chi * (back - gram @ p), constraints)
     return p
+
+
+def clustered_spectrum(rows, cols):
+    """A rows x cols matrix with singular values spread over [0.98, 1], so
+    that only a Krylov space of (nearly) full dimension resolves the top."""
+    rng = np.random.default_rng(3)
+    left = np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+    right = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+    return left @ np.diag(np.linspace(1.0, 0.98, cols)) @ right.T
 
 
 def plain_matrix(entries) -> ResponseMatrix:
@@ -124,18 +138,60 @@ class TestAutoChi:
         sigma_max = np.linalg.svd(mat.entries, compute_uv=False)[0]
         assert auto_chi(mat) == pytest.approx(1.0 / sigma_max**2, rel=1e-4)
 
-    @pytest.mark.parametrize("name", ["thermal_fig1", "cat_fig4"])
+    @pytest.mark.parametrize("name", ["thermal_fig1", "spats_fig2", "cat_fig4"])
     def test_run_windows_against_svd(self, name):
-        # thermal_fig1 is wide (322 x 703), cat_fig4 tall (64 x 61)
+        # thermal_fig1 is wide (322 x 703), spats_fig2 wide (256 x 277),
+        # cat_fig4 tall (64 x 61)
         mat, _ = run_window(name)
         sigma_max = np.linalg.svd(mat.entries, compute_uv=False)[0]
         assert auto_chi(mat) == pytest.approx(1.0 / sigma_max**2, rel=1e-6)
 
-    @pytest.mark.parametrize("name", ["thermal_fig1", "cat_fig4"])
+    @pytest.mark.parametrize("name", ["thermal_fig1", "spats_fig2", "cat_fig4"])
+    def test_run_windows_match_svd_to_round_off(self, name):
+        mat, _ = run_window(name)
+        sigma_max = np.linalg.svd(mat.entries, compute_uv=False)[0]
+        assert auto_chi(mat) == pytest.approx(1.0 / sigma_max**2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.array([[3.0]]),
+            np.random.default_rng(1).uniform(0.1, 1.0, size=(1, 7)),
+            np.random.default_rng(2).uniform(0.1, 1.0, size=(7, 1)),
+            np.eye(10),  # the start vector is an eigenvector: one step
+            np.outer(np.linspace(0.1, 1.0, 20), np.linspace(1.0, 0.2, 30)),
+            clustered_spectrum(50, 40),
+        ],
+        ids=["1x1", "1xn", "nx1", "identity", "rank-one", "fewer-columns-than-cap"],
+    )
+    def test_edge_shapes_match_svd_to_round_off(self, entries):
+        sigma_max = np.linalg.svd(entries, compute_uv=False)[0]
+        assert auto_chi(plain_matrix(entries)) == pytest.approx(
+            1.0 / sigma_max**2, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("name", ["thermal_fig1", "spats_fig2", "cat_fig4"])
     def test_solve_default_chi_is_auto_chi(self, name):
         mat, counts = run_window(name)
         report = solve(mat, counts, config=LandweberConfig(max_iterations=1))
         assert report.chi == auto_chi(mat)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.nan, "non-finite entries"), (np.inf, "non-finite entries"),
+         (0.0, "zero norm")],
+        ids=["nan", "inf", "zero"],
+    )
+    @pytest.mark.parametrize("chi", [None, 0.5], ids=["auto-chi", "given-chi"])
+    def test_unusable_matrix_rejected_before_any_step(self, bad, message, chi):
+        entries = np.zeros((4, 3)) if bad == 0.0 else np.full((4, 3), 0.2)
+        entries[2, 1] = bad
+        mat = plain_matrix(entries)
+        with pytest.raises(ValueError, match=message):
+            auto_chi(mat)
+        with pytest.raises(ValueError, match=message):
+            solve(mat, CountDistribution(np.full(4, 0.25)),
+                  config=LandweberConfig(chi=chi))
 
 
 class TestSolve:
@@ -233,6 +289,17 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_thermal_window_solve_peak_memory(self):
+        # the 322 x 322 Gram S S^T alone would be 0.83 MB
+        mat, counts = run_window("thermal_fig1")
+        tracemalloc.start()
+        try:
+            solve(mat, counts, config=LandweberConfig(max_iterations=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e5
 
     def test_iterates_respect_constraints(self):
         dist = thermal(4, 1e-8)
