@@ -82,11 +82,21 @@ class ResponseMatrix:
 
     col_tail[n] bounds the conditional mass truncated away above m_max in
     column n: sum_m entries[m, n] >= 1 - col_tail[n].
+
+    The entries are made read-only (a view is copied first), so values
+    derived from them, such as the solver's sigma_max, stay valid.
     """
 
     entries: np.ndarray
     params: DetectorParams
     col_tail: np.ndarray
+
+    def __post_init__(self):
+        entries = self.entries
+        if not entries.flags.owndata:  # writes through its base would go unseen
+            entries = entries.copy()
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     @property
     def m_max(self) -> int:

@@ -9,14 +9,19 @@ with the exact Euclidean projection onto the constraint set (nonnegativity
 plus an optional support mask). A step costs one product with S and one
 with S^T, its residual is the one the stopping rules read, and no Gram
 matrix is formed, not even for the default chi = 1/sigma_max(S)^2 (Lanczos,
-about 1e-15 relative). The iteration count regularizes: on noisy data the
-iterates first approach and then drift away from the truth, so the solver
-stops at the noise level (discrepancy principle) given a noise estimate.
+about 1e-15 relative). A masked solve iterates on the support columns of S
+only, sliced once, and scatters the estimate back with the pinned entries
++0.0; chi still comes from the full S. sigma_max is computed once per
+ResponseMatrix (its entries are read-only), so warm restarts reuse it. The
+iteration count regularizes: on noisy data the iterates first approach and
+then drift away from the truth, so the solver stops at the noise level
+(discrepancy principle) given a noise estimate.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +105,15 @@ class LandweberConfig:
             raise ValueError("noise_level must be nonnegative")
         if self.stagnation_tol < 0.0:
             raise ValueError("stagnation_tol must be nonnegative")
+        if self.initial is not None:
+            initial = np.asarray(self.initial, dtype=float)
+            if initial.ndim != 1:
+                raise ValueError(
+                    f"initial must be a 1-d vector, got shape {initial.shape}"
+                )
+            if not np.isfinite(initial).all():
+                raise ValueError("initial must be finite")
+            object.__setattr__(self, "initial", initial)
 
 
 @dataclass(frozen=True)
@@ -174,10 +188,25 @@ def _sigma_max_sq(matrix: np.ndarray) -> float:
     return float(values[-1])
 
 
+# (entries, sigma_max^2) of the last matrix seen; the strong reference keeps
+# the identity test sound, and read-only entries keep the value current
+_last_sigma_max_sq = (None, 0.0)
+
+
+def _matrix_sigma_max_sq(mat: ResponseMatrix) -> float:
+    """_sigma_max_sq of the matrix's entries, reused while the same read-only
+    entries array comes back (warm restarts on one matrix)."""
+    global _last_sigma_max_sq
+    entries = mat.entries
+    if _last_sigma_max_sq[0] is not entries or entries.flags.writeable:
+        _last_sigma_max_sq = (entries, _sigma_max_sq(entries))
+    return _last_sigma_max_sq[1]
+
+
 def auto_chi(mat: ResponseMatrix) -> float:
     """Default relaxation parameter 1/sigma_max(S)^2, safely inside the
     convergence interval (0, 2/sigma_max^2)."""
-    return 1.0 / _sigma_max_sq(mat.entries)
+    return 1.0 / _matrix_sigma_max_sq(mat)
 
 
 def solve(
@@ -205,7 +234,7 @@ def solve(
             f"{cols}-column matrix"
         )
 
-    top = _sigma_max_sq(matrix)
+    top = _matrix_sigma_max_sq(mat)
     chi = 1.0 / top if config.chi is None else config.chi
     if chi >= 2.0 / top:
         raise RelaxationBoundError(
@@ -216,35 +245,43 @@ def solve(
     if config.initial is None:
         p = np.zeros(cols)
     else:
-        p = project(np.asarray(config.initial, dtype=float), constraints)
-        if p.size != cols:
+        if config.initial.size != cols:
             raise ValueError(
-                f"initial vector of length {p.size} does not match the "
-                f"{cols}-column matrix"
+                f"initial vector of length {config.initial.size} does not "
+                f"match the {cols}-column matrix"
             )
+        p = project(config.initial, constraints)
 
-    pinned = None if mask is None else np.flatnonzero(~mask)
-    residuals = []
-    masses = []
+    # pinned entries stay +0.0 under every step: iterate on the support only
+    support = None if mask is None or mask.all() else np.flatnonzero(mask)
+    if support is not None:
+        matrix = np.ascontiguousarray(matrix[:, support])
+        p = p[support]
+    residuals = array("d")
+    masses = array("d")
     stop_reason = "max_iterations"
     iterations = config.max_iterations
     threshold = config.discrepancy_tau * config.noise_level
-    r = matrix @ p - data
+    grad, new, r = np.empty(p.size), np.empty(p.size), np.empty(rows)
+    adjoint = matrix.T  # a view: no transposed copy
+    np.dot(matrix, p, out=r)
+    r -= data
     for j in range(config.max_iterations):
-        new = p - chi * (matrix.T @ r)
-        np.maximum(new, 0.0, out=new)  # project() in place; pinned -> +0.0
-        if pinned is not None:
-            new[pinned] = 0.0
-        r = matrix @ new - data
-        residual = math.sqrt(r @ r)
+        np.dot(adjoint, r, out=grad)
+        grad *= chi
+        np.subtract(p, grad, out=new)
+        np.maximum(new, 0.0, out=new)  # project() in place
+        np.dot(matrix, new, out=r)
+        r -= data
+        residual = math.sqrt(np.dot(r, r))
         residuals.append(residual)
-        masses.append(float(new.sum()))
+        masses.append(np.add.reduce(new))  # what new.sum() computes
         stalled = False
         if config.stagnation_tol > 0.0:
-            step = new - p
+            step = np.subtract(new, p, out=grad)
             scale = max(math.sqrt(new @ new), 1e-300)
             stalled = math.sqrt(step @ step) <= config.stagnation_tol * scale
-        p = new
+        p, new = new, p
         if config.noise_level > 0.0 and residual <= threshold:
             stop_reason = "discrepancy"
             iterations = j + 1
@@ -254,8 +291,12 @@ def solve(
             iterations = j + 1
             break
 
+    estimate = p
+    if support is not None:
+        estimate = np.zeros(cols)
+        estimate[support] = p
     return SolveReport(
-        estimate=p,
+        estimate=estimate,
         iterations_run=iterations,
         residual_history=np.array(residuals),
         normalization_history=np.array(masses),

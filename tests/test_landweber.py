@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from pnrecon.detector import (
     forward,
     suggest_m_max,
 )
+from pnrecon import distio, landweber
 from pnrecon.landweber import (
     ConstraintSet,
     LandweberConfig,
@@ -67,6 +69,42 @@ def gram_form_reference(entries, data, chi, constraints, initial, steps):
     for _ in range(steps):
         p = project(p + chi * (back - gram @ p), constraints)
     return p
+
+
+def pinned_reference(entries, data, chi, mask, config):
+    """The iteration on all columns of S, pinning the masked-out entries to
+    zero after every step: (estimate, residuals, iterations, stop reason)."""
+    pinned = np.flatnonzero(~mask)
+    p = np.zeros(entries.shape[1])
+    if config.initial is not None:
+        p = project(config.initial, ConstraintSet(mask))
+    r = entries @ p - data
+    residuals = []
+    for j in range(config.max_iterations):
+        new = np.maximum(p - chi * (entries.T @ r), 0.0)
+        new[pinned] = 0.0
+        r = entries @ new - data
+        residuals.append(math.sqrt(r @ r))
+        step = math.sqrt((new - p) @ (new - p))
+        scale = max(math.sqrt(new @ new), 1e-300)
+        p = new
+        if config.noise_level > 0.0 and residuals[-1] <= (
+            config.discrepancy_tau * config.noise_level
+        ):
+            return p, np.array(residuals), j + 1, "discrepancy"
+        if config.stagnation_tol > 0.0 and step <= config.stagnation_tol * scale:
+            return p, np.array(residuals), j + 1, "stagnation"
+    return p, np.array(residuals), config.max_iterations, "max_iterations"
+
+
+def cat_window():
+    """The even-cat window and exact counts of the gate-6 call pattern."""
+    photon = even_cat(23.9, 1e-10)
+    params = DetectorParams(0.613749, 1.763442)
+    mat = build_response(
+        params, photon.n_max, suggest_m_max(params, photon.n_max, 1e-10)
+    )
+    return mat, forward(mat, photon), ConstraintSet.even_support(photon.n_max + 1)
 
 
 def clustered_spectrum(rows, cols):
@@ -194,6 +232,61 @@ class TestAutoChi:
                   config=LandweberConfig(chi=chi))
 
 
+class TestSigmaMaxReuse:
+    def count_lanczos(self, monkeypatch):
+        calls = []
+        lanczos = landweber._sigma_max_sq
+
+        def counted(entries):
+            calls.append(entries)
+            return lanczos(entries)
+
+        monkeypatch.setattr(landweber, "_sigma_max_sq", counted)
+        return calls
+
+    def test_warm_restarts_compute_sigma_max_once(self, monkeypatch):
+        calls = self.count_lanczos(monkeypatch)
+        mat, counts, constraints = cat_window()
+        estimate = None
+        for _ in range(3):
+            estimate = solve(
+                mat, counts, constraints,
+                LandweberConfig(max_iterations=5, initial=estimate),
+            ).estimate
+        auto_chi(mat)
+        assert len(calls) == 1
+
+    def test_producers_return_read_only_entries(self, tmp_path):
+        mat = build_response(DetectorParams(0.5, 0.1), 3, 4)
+        distio.write_matrix(tmp_path / "S.json", mat)
+        for entries in (mat.entries, distio.read_matrix(tmp_path / "S.json").entries):
+            assert entries.flags.owndata and not entries.flags.writeable
+
+    def test_entries_are_read_only(self):
+        mat = plain_matrix(np.eye(3))
+        auto_chi(mat)
+        with pytest.raises(ValueError, match="read-only"):
+            mat.entries[0, 0] = 2.0
+        assert auto_chi(mat) == pytest.approx(1.0, rel=1e-12)
+
+    def test_view_entries_are_copied(self):
+        base = np.eye(4)
+        mat = plain_matrix(base[:, :3])
+        assert auto_chi(mat) == pytest.approx(1.0, rel=1e-12)
+        base[0, 0] = 2.0
+        assert mat.entries[0, 0] == 1.0
+        assert auto_chi(mat) == pytest.approx(1.0, rel=1e-12)
+
+    def test_writable_again_entries_are_recomputed(self, monkeypatch):
+        calls = self.count_lanczos(monkeypatch)
+        mat = plain_matrix(np.eye(3))
+        assert auto_chi(mat) == pytest.approx(1.0, rel=1e-12)
+        mat.entries.flags.writeable = True
+        mat.entries[0, 0] = 2.0
+        assert auto_chi(mat) == pytest.approx(0.25, rel=1e-12)
+        assert len(calls) == 2
+
+
 class TestSolve:
     def test_identity_fixed_point(self):
         mat = plain_matrix(np.eye(4))
@@ -277,7 +370,70 @@ class TestSolve:
             assert full.residual_history[j] == pytest.approx(
                 np.linalg.norm(entries @ p_j - data), rel=1e-12
             )
-            assert full.normalization_history[j] == p_j.sum()
+            # the loop sums the support entries only; the pinned ones are 0
+            assert full.normalization_history[j] == p_j[constraints.support_mask].sum()
+
+    @pytest.mark.parametrize(
+        "shape", [(30, 40), (40, 30)], ids=["wide", "tall"]
+    )
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
+    @pytest.mark.parametrize(
+        "stop", ["max_iterations", "stagnation", "discrepancy"]
+    )
+    def test_support_columns_match_pinned_full_matrix(self, shape, warm, stop):
+        rng = np.random.default_rng(23)
+        entries = rng.uniform(0.0, 1.0, size=shape)
+        data = entries @ rng.uniform(0.0, 1.0, size=shape[1])
+        data += rng.normal(0.0, 0.05 * data.std(), size=shape[0])
+        mask = rng.uniform(size=shape[1]) < 0.6
+        config = LandweberConfig(
+            max_iterations=400,
+            stagnation_tol=1e-3 if stop == "stagnation" else 0.0,
+            noise_level=0.085 * np.linalg.norm(data) if stop == "discrepancy" else 0.0,
+            initial=rng.normal(size=shape[1]) if warm else None,
+        )
+        mat = plain_matrix(entries)
+        report = solve(mat, CountDistribution(data), ConstraintSet(mask), config)
+        assert report.chi == auto_chi(mat)  # from all columns, not the support
+        estimate, residuals, iterations, reason = pinned_reference(
+            entries, data, report.chi, mask, config
+        )
+        assert (report.iterations_run, report.stop_reason) == (iterations, reason)
+        assert reason == stop and 1 < iterations
+        assert np.linalg.norm(report.estimate - estimate) <= 1e-14 * np.linalg.norm(
+            estimate
+        )
+        assert np.allclose(report.residual_history, residuals, rtol=1e-14, atol=0.0)
+
+    def test_pinned_entries_are_positive_zero(self):
+        rng = np.random.default_rng(8)
+        entries = rng.uniform(0.0, 1.0, size=(10, 7))
+        mask = np.array([True, False, True, False, False, True, False])
+        initial = np.where(mask, 0.3, -0.0)
+        initial[3] = -2.0
+        for start in (None, initial):
+            report = solve(
+                plain_matrix(entries),
+                CountDistribution(rng.uniform(size=10)),
+                ConstraintSet(mask),
+                LandweberConfig(max_iterations=30, initial=start),
+            )
+            assert np.all(report.estimate[~mask] == 0.0)
+            assert not np.signbit(report.estimate[~mask]).any()
+
+    def test_empty_support_returns_zeros(self):
+        data = np.array([0.5, 0.3, 0.2])
+        report = solve(
+            plain_matrix(np.eye(3)),
+            CountDistribution(data),
+            ConstraintSet(np.zeros(3, dtype=bool)),
+            LandweberConfig(max_iterations=4, stagnation_tol=0.0),
+        )
+        assert report.estimate.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(report.estimate).any()
+        assert report.iterations_run == 4
+        assert report.residual_history.tolist() == [np.linalg.norm(data)] * 4
+        assert report.normalization_history.tolist() == [0.0] * 4
 
     def test_thermal_window_holds_no_gram(self):
         # the n x n Gram of this 322 x 703 window alone is 3.95 MB
@@ -300,6 +456,22 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert peak < 5e5
+
+    def test_cat_window_masked_solve_peak_memory(self):
+        # one chunk of the gate-6 pattern: 5000 steps on the 64 x 31 support
+        mat, counts, constraints = cat_window()
+        tracemalloc.start()
+        try:
+            solve(
+                mat,
+                counts,
+                constraints,
+                LandweberConfig(max_iterations=5000, stagnation_tol=0.0),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e5
 
     def test_iterates_respect_constraints(self):
         dist = thermal(4, 1e-8)
@@ -451,6 +623,25 @@ class TestSolve:
     def test_config_rejects_non_numbers(self, field, value):
         with pytest.raises(TypeError, match=f"{field} must be a real number"):
             LandweberConfig(**{field: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_config_rejects_non_finite_initial(self, bad):
+        with pytest.raises(ValueError, match="initial must be finite"):
+            LandweberConfig(initial=[bad, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [0.5, [[0.5, 0.5]]], ids=["scalar", "matrix"])
+    def test_config_rejects_non_vector_initial(self, bad):
+        with pytest.raises(ValueError, match="initial must be a 1-d vector"):
+            LandweberConfig(initial=bad)
+
+    def test_wrong_length_initial_named_under_a_mask(self):
+        with pytest.raises(ValueError, match="initial vector of length 5"):
+            solve(
+                plain_matrix(np.eye(4)),
+                CountDistribution(np.full(4, 0.25)),
+                ConstraintSet.even_support(4),
+                LandweberConfig(initial=np.ones(5)),
+            )
 
     def test_config_accepts_and_stores_numpy_scalars(self):
         config = LandweberConfig(
