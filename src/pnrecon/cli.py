@@ -23,6 +23,7 @@ import sys
 from . import __version__, distio
 from .detector import DetectorParams, build_response, forward, suggest_m_max
 from .experiment import (
+    ConfigError,
     build_state,
     bundled_config_names,
     constraint_set,
@@ -103,10 +104,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    try:
+        chi = None if args.chi == "auto" else float(args.chi)
+    except ValueError:
+        raise ConfigError(f"--chi takes 'auto' or a number, got {args.chi!r}") from None
     mat = distio.read_matrix(args.detector)
     counts, metadata = distio.read_counts(args.counts)
     options = {
-        "chi": None if args.chi == "auto" else float(args.chi),
+        "chi": chi,
         "max_iterations": args.max_iterations,
         "discrepancy_tau": args.tau,
         "noise_level": args.noise_level,
@@ -135,13 +140,15 @@ def _cmd_invert_direct(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    if (args.detector is None) != (args.measured is None):
+        raise ConfigError("--detector and --measured must be given together")
     est_values, _ = distio.read_distribution(args.estimate)
     truth_values, _ = distio.read_distribution(args.truth)
     payload = {
         "relative_error": relative_error(est_values, truth_values),
         "normalization_defect": normalization_defect(est_values),
     }
-    if args.detector and args.measured:
+    if args.detector is not None:
         mat = distio.read_matrix(args.detector)
         measured, _ = distio.read_counts(args.measured)
         payload["relative_residual"] = relative_residual(
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--report", help="also write the solver report JSON here")
-    p.add_argument("--chi", default="auto")
+    p.add_argument("--chi", default="auto", help="auto or a number")
     p.add_argument("--max-iterations", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--noise-level", type=float)

@@ -16,7 +16,7 @@ of N span hundreds of orders of magnitude at window sizes of interest).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,8 @@ __all__ = [
 
 _SUGGEST_HARD_MARGIN = 4000
 _SUGGEST_BLOCK = 64  # rows of column n_max evaluated per pass
+_LANCZOS_REL_TOL = 1e-10
+_LANCZOS_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -80,23 +82,37 @@ class CountDistribution:
 class ResponseMatrix:
     """Dense response matrix, rows m = 0..m_max, columns n = 0..n_max.
 
-    col_tail[n] bounds the conditional mass truncated away above m_max in
-    column n: sum_m entries[m, n] >= 1 - col_tail[n].
-
-    The entries are made read-only (a view is copied first), so values
-    derived from them, such as the solver's sigma_max, stay valid.
+    ``entries`` must be a finite 2-d array (anything ``np.asarray`` turns
+    into one); it is made read-only, a view being copied first, so the
+    values derived from it stay valid. col_tail is derived, not passed:
+    col_tail[n] = max(0, 1 - sum_m entries[m, n]) bounds the conditional
+    mass truncated away above m_max in column n. sigma_max_sq is computed
+    on first use, and again only if the entries were made writable again.
     """
 
     entries: np.ndarray
     params: DetectorParams
-    col_tail: np.ndarray
+    col_tail: np.ndarray = field(init=False)
+    _cached_sigma_max_sq: float | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        entries = self.entries
+        entries = np.asarray(self.entries, dtype=float)
+        if entries.ndim != 2:
+            raise ValueError(f"entries must be a 2-d matrix, got shape {entries.shape}")
+        sums = entries.sum(axis=0)  # non-finite in every column holding a NaN or inf
+        bad = () if np.isfinite(sums).all() else np.argwhere(~np.isfinite(entries))
+        if len(bad):  # none if finite entries merely overflowed a sum
+            m, n = bad[0].tolist()
+            raise ValueError(
+                f"non-finite entry {float(entries[m, n])!r} at (m, n) = ({m}, {n})"
+            )
         if not entries.flags.owndata:  # writes through its base would go unseen
             entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "col_tail", np.maximum(0.0, 1.0 - sums))
 
     @property
     def m_max(self) -> int:
@@ -105,6 +121,40 @@ class ResponseMatrix:
     @property
     def n_max(self) -> int:
         return self.entries.shape[1] - 1
+
+    @property
+    def sigma_max_sq(self) -> float:
+        """Largest squared singular value of the entries (Lanczos)."""
+        if self._cached_sigma_max_sq is None or self.entries.flags.writeable:
+            object.__setattr__(self, "_cached_sigma_max_sq", _sigma_max_sq(self.entries))
+        return self._cached_sigma_max_sq
+
+
+def _sigma_max_sq(matrix: np.ndarray) -> float:
+    """sigma_max(S)^2 by Lanczos (Golub & Van Loan, ch. 10) on the smaller of
+    S S^T and S^T S as two products with S, from a fixed start vector, fully
+    reorthogonalized (classical Gram-Schmidt, twice), stopped when the top
+    Ritz pair's residual beta |y_last| is <= 1e-10 of its value (or beta = 0)
+    or after min(64, dim) steps: ~1e-15 relative to the SVD on bundled windows."""
+    dim, wide = min(matrix.shape), matrix.shape[0] < matrix.shape[1]
+    steps = min(_LANCZOS_MAX_STEPS, dim)
+    basis, tri = np.empty((steps, dim)), np.zeros((steps + 1, steps + 1))
+    v = np.full(dim, 1.0 / math.sqrt(dim))
+    for k in range(steps):
+        basis[k] = v
+        w = matrix @ (matrix.T @ v) if wide else matrix.T @ (matrix @ v)
+        tri[k, k] = v @ w
+        for _ in range(2):
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        beta = math.sqrt(w @ w)
+        values, vectors = np.linalg.eigh(tri[: k + 1, : k + 1])
+        if values[-1] <= 0.0:
+            raise ValueError("matrix has zero norm; cannot pick a stepsize")
+        if beta * abs(vectors[-1, -1]) <= _LANCZOS_REL_TOL * values[-1]:
+            break
+        tri[k + 1, k] = beta  # eigh reads the lower triangle
+        v = w / beta
+    return float(values[-1])
 
 
 def _log_entry_m_ge_n(params: DetectorParams, m: int, n: int) -> float:
@@ -194,8 +244,7 @@ def build_response(
         entries[r, r:] = lower[r, : n_max + 1 - r]
         entries[r + 1 :, r] = upper[r, 1 : m_max + 1 - r]
     np.exp(entries, out=entries)
-    col_tail = np.maximum(0.0, 1.0 - entries.sum(axis=0))
-    return ResponseMatrix(entries, params, col_tail)
+    return ResponseMatrix(entries, params)
 
 
 def zero_pad(values, size: int, name: str, limit: str) -> np.ndarray:

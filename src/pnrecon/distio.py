@@ -133,28 +133,18 @@ def read_matrix(path) -> ResponseMatrix:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         params = DetectorParams(payload["eta"], payload["n_noise"])
-        entries = np.asarray(payload["entries"], dtype=float)
-        if entries.ndim != 2:
-            raise ValueError("entries must be a matrix")
         m_max, n_max = (_require_integer(k, payload[k]) for k in ("m_max", "n_max"))
         if min(m_max, n_max) < 0:
             raise ValueError(f"m_max and n_max must be >= 0, got {m_max}, {n_max}")
+        mat = ResponseMatrix(payload["entries"], params)
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"invalid response-matrix file {path}: {exc}") from exc
-    if entries.shape != (m_max + 1, n_max + 1):
+    if mat.entries.shape != (m_max + 1, n_max + 1):
         raise ParseError(
-            f"entries shape {entries.shape} does not match declared window "
+            f"entries shape {mat.entries.shape} does not match declared window "
             f"m_max = {m_max}, n_max = {n_max}"
         )
-    bad = np.argwhere(~np.isfinite(entries))
-    if bad.size:
-        m, n = bad[0].tolist()
-        raise ParseError(
-            f"non-finite entry {float(entries[m, n])!r} at (m, n) = "
-            f"({m}, {n}) in response-matrix file {path}"
-        )
-    col_tail = np.maximum(0.0, 1.0 - entries.sum(axis=0))
-    return ResponseMatrix(entries, params, col_tail)
+    return mat
 
 
 def read_counts(path) -> tuple[CountDistribution, dict]:

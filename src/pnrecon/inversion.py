@@ -54,21 +54,23 @@ class InverseMatrix:
     def to_dense(self) -> np.ndarray:
         """Materialize the entries as plain floats; raises when any entry
         exceeds the double range."""
-        if np.any((self.log_magnitude > MAX_LOG) & (self.sign != 0)):
-            n, m = np.unravel_index(
-                np.argmax(np.where(self.sign != 0, self.log_magnitude, -math.inf)),
-                self.log_magnitude.shape,
-            )
-            raise InversionOverflowError(
-                f"inverse entry [n={n}, m={m}] has log magnitude "
-                f"{self.log_magnitude[n, m]:.6g}, beyond double range",
-                int(n),
-                int(m),
-            )
+        log_magnitude = np.where(self.sign != 0, self.log_magnitude, -math.inf)
+        _check_range(log_magnitude, "inverse entry")
         with np.errstate(over="raise"):
-            return self.sign * np.exp(
-                np.where(self.sign != 0, self.log_magnitude, -math.inf)
-            )
+            return self.sign * np.exp(log_magnitude)
+
+
+def _check_range(log_values: np.ndarray, what: str) -> None:
+    """Raise InversionOverflowError naming the (n, m) of the largest of
+    ``log_values`` (dead entries -inf) if it is beyond the double range."""
+    n, m = np.unravel_index(np.argmax(log_values), log_values.shape)
+    if log_values[n, m] > MAX_LOG:
+        raise InversionOverflowError(
+            f"{what} at n={n}, m={m} has log magnitude "
+            f"{log_values[n, m]:.6g}, beyond double range",
+            int(n),
+            int(m),
+        )
 
 
 def _log_inverse_m_le_n(
@@ -190,13 +192,6 @@ def direct_reconstruct(
         log_counts = np.where(probs > 0, np.log(probs), -math.inf)
     log_terms = inv.log_magnitude + log_counts[None, :]
     log_terms = np.where(inv.sign != 0, log_terms, -math.inf)
-    if np.any(log_terms > MAX_LOG):
-        n, m = np.unravel_index(np.argmax(log_terms), log_terms.shape)
-        raise InversionOverflowError(
-            f"series term at n={n}, m={m} has log magnitude "
-            f"{log_terms[n, m]:.6g}, beyond double range",
-            int(n),
-            int(m),
-        )
+    _check_range(log_terms, "series term")
     terms = inv.sign * np.exp(log_terms)
     return np.array([math.fsum(row) for row in terms])

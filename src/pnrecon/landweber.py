@@ -11,11 +11,12 @@ with S^T, its residual is the one the stopping rules read, and no Gram
 matrix is formed, not even for the default chi = 1/sigma_max(S)^2 (Lanczos,
 about 1e-15 relative). A masked solve iterates on the support columns of S
 only, sliced once, and scatters the estimate back with the pinned entries
-+0.0; chi still comes from the full S. sigma_max is computed once per
-ResponseMatrix (its entries are read-only), so warm restarts reuse it. The
-iteration count regularizes: on noisy data the iterates first approach and
-then drift away from the truth, so the solver stops at the noise level
-(discrepancy principle) given a noise estimate.
++0.0; chi still comes from the full S. sigma_max is a property of the
+ResponseMatrix, computed on its first use and kept with its read-only
+entries, so warm restarts on one matrix reuse it. The iteration count
+regularizes: on noisy data the iterates first approach and then drift away
+from the truth, so the solver stops at the noise level (discrepancy
+principle) given a noise estimate.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ __all__ = [
     "auto_chi",
     "solve",
 ]
-
-_LANCZOS_REL_TOL = 1e-10
-_LANCZOS_MAX_STEPS = 64
-
 
 class RelaxationBoundError(ValueError):
     """An explicit relaxation parameter violates the convergence bound."""
@@ -159,54 +156,10 @@ def project(v: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
     return np.where(mask, np.maximum(v, 0.0), 0.0)
 
 
-def _sigma_max_sq(matrix: np.ndarray) -> float:
-    """sigma_max(S)^2 by Lanczos (Golub & Van Loan, ch. 10) on the smaller of
-    S S^T and S^T S as two products with S, from a fixed start vector, fully
-    reorthogonalized (classical Gram-Schmidt, twice), stopped when the top
-    Ritz pair's residual beta |y_last| is <= 1e-10 of its value (or beta = 0)
-    or after min(64, dim) steps: ~1e-15 relative to the SVD on bundled windows."""
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix has non-finite entries; cannot pick a stepsize")
-    dim, wide = min(matrix.shape), matrix.shape[0] < matrix.shape[1]
-    steps = min(_LANCZOS_MAX_STEPS, dim)
-    basis, tri = np.empty((steps, dim)), np.zeros((steps + 1, steps + 1))
-    v = np.full(dim, 1.0 / math.sqrt(dim))
-    for k in range(steps):
-        basis[k] = v
-        w = matrix @ (matrix.T @ v) if wide else matrix.T @ (matrix @ v)
-        tri[k, k] = v @ w
-        for _ in range(2):
-            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
-        beta = math.sqrt(w @ w)
-        values, vectors = np.linalg.eigh(tri[: k + 1, : k + 1])
-        if values[-1] <= 0.0:
-            raise ValueError("matrix has zero norm; cannot pick a stepsize")
-        if beta * abs(vectors[-1, -1]) <= _LANCZOS_REL_TOL * values[-1]:
-            break
-        tri[k + 1, k] = beta  # eigh reads the lower triangle
-        v = w / beta
-    return float(values[-1])
-
-
-# (entries, sigma_max^2) of the last matrix seen; the strong reference keeps
-# the identity test sound, and read-only entries keep the value current
-_last_sigma_max_sq = (None, 0.0)
-
-
-def _matrix_sigma_max_sq(mat: ResponseMatrix) -> float:
-    """_sigma_max_sq of the matrix's entries, reused while the same read-only
-    entries array comes back (warm restarts on one matrix)."""
-    global _last_sigma_max_sq
-    entries = mat.entries
-    if _last_sigma_max_sq[0] is not entries or entries.flags.writeable:
-        _last_sigma_max_sq = (entries, _sigma_max_sq(entries))
-    return _last_sigma_max_sq[1]
-
-
 def auto_chi(mat: ResponseMatrix) -> float:
     """Default relaxation parameter 1/sigma_max(S)^2, safely inside the
     convergence interval (0, 2/sigma_max^2)."""
-    return 1.0 / _matrix_sigma_max_sq(mat)
+    return 1.0 / mat.sigma_max_sq
 
 
 def solve(
@@ -234,7 +187,7 @@ def solve(
             f"{cols}-column matrix"
         )
 
-    top = _matrix_sigma_max_sq(mat)
+    top = mat.sigma_max_sq
     chi = 1.0 / top if config.chi is None else config.chi
     if chi >= 2.0 / top:
         raise RelaxationBoundError(

@@ -538,6 +538,38 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("given", ["--detector", "--measured"])
+    def test_metrics_half_pair_is_2_before_any_read(self, tmp_path, capsys, given):
+        # none of the files exists: reading any of them would be an OSError
+        missing = [str(tmp_path / name) for name in ("est", "truth", "other")]
+        capsys.readouterr()
+        code = run_cli(
+            "metrics", "--estimate", missing[0], "--truth", missing[1],
+            given, missing[2],
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert "--detector" in err["message"] and "--measured" in err["message"]
+
+    def test_chi_must_be_auto_or_a_number(self, tmp_path, capsys):
+        capsys.readouterr()
+        code = run_cli(
+            "reconstruct",
+            "--detector", str(tmp_path / "missing.json"),
+            "--counts", str(tmp_path / "missing_counts.json"),
+            "--chi", "abc",
+            "--output", str(tmp_path / "p.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "p.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == "--chi takes 'auto' or a number, got 'abc'"
+
     def test_invalid_config_payload_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"state": {"kind": "warp"}}))

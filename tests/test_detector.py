@@ -11,6 +11,7 @@ from pnrecon.detector import (
     _SUGGEST_HARD_MARGIN,
     CountDistribution,
     DetectorParams,
+    ResponseMatrix,
     _log_entry_m_ge_n,
     _log_entry_m_le_n,
     _log_laguerre_table,
@@ -19,6 +20,7 @@ from pnrecon.detector import (
     response_entry,
     suggest_m_max,
 )
+from pnrecon import distio
 from pnrecon.experiment import build_state, bundled_config_names, load_config
 from pnrecon.special import log_laguerre_nonpos
 from pnrecon.states import fock, thermal
@@ -454,6 +456,52 @@ class TestSuggestMMax:
     def test_tail_validation(self):
         with pytest.raises(ValueError):
             suggest_m_max(DetectorParams(0.5, 0.1), 5, 0.0)
+
+
+class TestResponseMatrix:
+    def test_nested_list_entries_accepted(self):
+        mat = ResponseMatrix([[0.75, 0.0], [0.25, 1.0]], DetectorParams(0.9, 0.1))
+        assert mat.entries.dtype == float
+        assert mat.entries.tolist() == [[0.75, 0.0], [0.25, 1.0]]
+        assert not mat.entries.flags.writeable
+        assert mat.col_tail.tolist() == [0.0, 0.0]
+        assert (mat.m_max, mat.n_max) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "entries, shape",
+        [(np.ones(3), r"\(3,\)"), (np.float64(1.0), r"\(\)"),
+         (np.ones((2, 2, 2)), r"\(2, 2, 2\)")],
+        ids=["1-d", "0-d", "3-d"],
+    )
+    def test_non_matrix_entries_rejected(self, entries, shape):
+        with pytest.raises(ValueError, match=f"2-d matrix, got shape {shape}"):
+            ResponseMatrix(entries, DetectorParams(0.9, 0.1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, value):
+        entries = np.full((5, 3), 0.1)
+        entries[4, 2] = value
+        with pytest.raises(
+            ValueError, match=rf"non-finite entry {value!r} at \(m, n\) = \(4, 2\)$"
+        ):
+            ResponseMatrix(entries, DetectorParams(0.9, 0.1))
+
+    def test_finite_entries_whose_column_sum_overflows_accepted(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            mat = ResponseMatrix([[1e308, 0.5], [1e308, 0.5]], DetectorParams(0.9, 0.1))
+        assert mat.col_tail.tolist() == [0.0, 0.0]
+
+    def test_col_tail_is_derived_not_passed(self, tmp_path):
+        params = DetectorParams(0.9, 0.1)
+        with pytest.raises(TypeError):
+            ResponseMatrix(np.eye(2), params, np.array([0.9, 0.9]))
+        built = build_response(params, 6, 4)  # a short window: tails > 0
+        distio.write_matrix(tmp_path / "S.json", built)
+        for mat in (built, distio.read_matrix(tmp_path / "S.json")):
+            derived = np.maximum(0.0, 1.0 - mat.entries.sum(axis=0))
+            assert np.array_equal(mat.col_tail, derived)
+            assert mat.col_tail.max() > 0.0
+        assert ResponseMatrix([[0.5, 1.0]], params).col_tail.tolist() == [0.5, 0.0]
 
 
 class TestCountDistribution:

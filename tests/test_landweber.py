@@ -1,6 +1,8 @@
 import functools
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from pnrecon.detector import (
     forward,
     suggest_m_max,
 )
-from pnrecon import distio, landweber
+from pnrecon import detector, distio
 from pnrecon.landweber import (
     ConstraintSet,
     LandweberConfig,
@@ -117,12 +119,7 @@ def clustered_spectrum(rows, cols):
 
 
 def plain_matrix(entries) -> ResponseMatrix:
-    entries = np.asarray(entries, dtype=float)
-    return ResponseMatrix(
-        entries,
-        DetectorParams(1.0, 0.0),
-        np.maximum(0.0, 1.0 - entries.sum(axis=0)),
-    )
+    return ResponseMatrix(entries, DetectorParams(1.0, 0.0))
 
 
 class TestProject:
@@ -216,7 +213,8 @@ class TestAutoChi:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [(np.nan, "non-finite entries"), (np.inf, "non-finite entries"),
+        [(np.nan, r"non-finite entry nan at \(m, n\) = \(2, 1\)"),
+         (np.inf, r"non-finite entry inf at \(m, n\) = \(2, 1\)"),
          (0.0, "zero norm")],
         ids=["nan", "inf", "zero"],
     )
@@ -224,6 +222,10 @@ class TestAutoChi:
     def test_unusable_matrix_rejected_before_any_step(self, bad, message, chi):
         entries = np.zeros((4, 3)) if bad == 0.0 else np.full((4, 3), 0.2)
         entries[2, 1] = bad
+        if bad != 0.0:  # a non-finite matrix cannot be built, so never solved
+            with pytest.raises(ValueError, match=message):
+                plain_matrix(entries)
+            return
         mat = plain_matrix(entries)
         with pytest.raises(ValueError, match=message):
             auto_chi(mat)
@@ -235,13 +237,13 @@ class TestAutoChi:
 class TestSigmaMaxReuse:
     def count_lanczos(self, monkeypatch):
         calls = []
-        lanczos = landweber._sigma_max_sq
+        lanczos = detector._sigma_max_sq
 
         def counted(entries):
             calls.append(entries)
             return lanczos(entries)
 
-        monkeypatch.setattr(landweber, "_sigma_max_sq", counted)
+        monkeypatch.setattr(detector, "_sigma_max_sq", counted)
         return calls
 
     def test_warm_restarts_compute_sigma_max_once(self, monkeypatch):
@@ -255,6 +257,22 @@ class TestSigmaMaxReuse:
             ).estimate
         auto_chi(mat)
         assert len(calls) == 1
+
+    def test_each_matrix_keeps_its_own_sigma_max(self, monkeypatch):
+        calls = self.count_lanczos(monkeypatch)
+        first, second = plain_matrix(np.eye(3)), plain_matrix(2.0 * np.eye(3))
+        for _ in range(2):
+            assert auto_chi(first) == pytest.approx(1.0, rel=1e-12)
+            assert auto_chi(second) == pytest.approx(0.25, rel=1e-12)
+        assert len(calls) == 2
+
+    def test_solved_matrix_is_not_kept_alive(self):
+        mat, counts, constraints = cat_window()
+        solve(mat, counts, constraints, LandweberConfig(max_iterations=5))
+        entries = weakref.ref(mat.entries)
+        del mat
+        gc.collect()
+        assert entries() is None
 
     def test_producers_return_read_only_entries(self, tmp_path):
         mat = build_response(DetectorParams(0.5, 0.1), 3, 4)
