@@ -61,7 +61,7 @@ class DetectorParams:
         return self.n_noise * (self.eta - 1.0) / self.eta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountDistribution:
     """Probabilities (or empirical frequencies) over photocount numbers."""
 
@@ -78,7 +78,7 @@ class CountDistribution:
             raise ValueError("count probabilities sum to more than 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseMatrix:
     """Dense response matrix, rows m = 0..m_max, columns n = 0..n_max.
 
@@ -87,32 +87,34 @@ class ResponseMatrix:
     values derived from it stay valid. col_tail is derived, not passed:
     col_tail[n] = max(0, 1 - sum_m entries[m, n]) bounds the conditional
     mass truncated away above m_max in column n. sigma_max_sq is computed
-    on first use, and again only if the entries were made writable again.
+    on first use; entries made writable again are rechecked on every use.
     """
 
     entries: np.ndarray
     params: DetectorParams
-    col_tail: np.ndarray = field(init=False)
-    _cached_sigma_max_sq: float | None = field(
-        init=False, default=None, repr=False, compare=False
-    )
+    _col_tail: np.ndarray = field(init=False, repr=False)
+    _cached_sigma_max_sq: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2:
             raise ValueError(f"entries must be a 2-d matrix, got shape {entries.shape}")
-        sums = entries.sum(axis=0)  # non-finite in every column holding a NaN or inf
-        bad = () if np.isfinite(sums).all() else np.argwhere(~np.isfinite(entries))
+        if not entries.flags.owndata:  # writes through its base would go unseen
+            entries = entries.copy()
+        object.__setattr__(self, "entries", entries)
+        self._derive()
+        entries.flags.writeable = False
+
+    def _derive(self) -> None:  # check finiteness, set col_tail, drop sigma_max_sq
+        sums = self.entries.sum(axis=0)  # non-finite in every column holding a NaN or inf
+        bad = () if np.isfinite(sums).all() else np.argwhere(~np.isfinite(self.entries))
         if len(bad):  # none if finite entries merely overflowed a sum
             m, n = bad[0].tolist()
             raise ValueError(
-                f"non-finite entry {float(entries[m, n])!r} at (m, n) = ({m}, {n})"
+                f"non-finite entry {float(self.entries[m, n])!r} at (m, n) = ({m}, {n})"
             )
-        if not entries.flags.owndata:  # writes through its base would go unseen
-            entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "col_tail", np.maximum(0.0, 1.0 - sums))
+        object.__setattr__(self, "_col_tail", np.maximum(0.0, 1.0 - sums))
+        object.__setattr__(self, "_cached_sigma_max_sq", None)
 
     @property
     def m_max(self) -> int:
@@ -123,9 +125,17 @@ class ResponseMatrix:
         return self.entries.shape[1] - 1
 
     @property
+    def col_tail(self) -> np.ndarray:
+        if self.entries.flags.writeable:
+            self._derive()
+        return self._col_tail
+
+    @property
     def sigma_max_sq(self) -> float:
         """Largest squared singular value of the entries (Lanczos)."""
-        if self._cached_sigma_max_sq is None or self.entries.flags.writeable:
+        if self.entries.flags.writeable:
+            self._derive()
+        if self._cached_sigma_max_sq is None:
             object.__setattr__(self, "_cached_sigma_max_sq", _sigma_max_sq(self.entries))
         return self._cached_sigma_max_sq
 
@@ -186,13 +196,15 @@ def response_entry(params: DetectorParams, m: int, n: int) -> float:
     return math.exp((_log_entry_m_ge_n if m >= n else _log_entry_m_le_n)(params, m, n))
 
 
-def _log_laguerre_table(x: float, r_max: int, s_max: int) -> np.ndarray:
-    """Table of ln L_r^s(x), r <= r_max, s <= s_max, x <= 0: the three-term
-    recurrence (DLMF 18.9.13) on rho_r = L_r^s / L_{r-1}^s over all s, run on
-    eps = rho - 1 >= 0 with no cancellation: eps_1 = s - x and (r+1) eps_{r+1}
-    = (r+s) eps_r / rho_r - x. L is the product of the rhos as mantissa *
-    2**exponent; a running sum of ln rho would round r times at |ln L|."""
-    s, out = np.arange(s_max + 1.0), np.zeros((r_max + 1, s_max + 1))
+def _log_laguerre_table(x: float, r_max: int, s_max: int, _out=None) -> np.ndarray:
+    """Table of ln L_r^s(x), r <= r_max, s <= s_max, x <= 0, written into
+    ``_out`` (any strides) if given: the three-term recurrence (DLMF 18.9.13)
+    on rho_r = L_r^s / L_{r-1}^s over all s, run on eps = rho - 1 >= 0 with no
+    cancellation: eps_1 = s - x and (r+1) eps_{r+1} = (r+s) eps_r / rho_r - x.
+    L is the product of the rhos as mantissa * 2**exponent; a running sum of
+    ln rho would round r times at |ln L|."""
+    out = np.empty((r_max + 1, s_max + 1)) if _out is None else _out
+    s, out[0] = np.arange(s_max + 1.0), 0.0
     eps, mantissa, exponent = s - x, np.ones_like(s), np.zeros_like(s)
     for r in range(1, r_max + 1):
         rho = 1.0 + eps
@@ -227,22 +239,26 @@ def build_response(
 ) -> ResponseMatrix:
     """Materialize the dense response matrix on the given window.
 
-    Equivalent to filling every entry with :func:`response_entry`. Each
-    branch is evaluated once on its slice of one ln L_r^s table; table row r
-    then fills matrix row m = r (lower branch, n >= r) and column n = r
-    (upper branch, m > r), and one in-place exp ends the build.
+    Equivalent to filling every entry with :func:`response_entry`. The
+    ln L_r^s table fills the matrix buffer (its transpose when m_max > n_max)
+    and a copy of its first r_max + 1 columns, the side block, takes the
+    other branch; table row r is shifted right by r in place, side row r is
+    copied into table column r, and one in-place exp ends the build.
     """
     if n_max < 0 or m_max < 0:
         raise ValueError("n_max and m_max must be nonnegative")
-    r_max = min(n_max, m_max)
-    lower = _log_laguerre_table(params.laguerre_arg, r_max, max(n_max, m_max))
-    low, upper = np.arange(r_max + 1)[:, None], lower[:, : m_max + 1].copy()
-    _log_entries(params, low, np.arange(m_max + 1), upper, True)
-    _log_entries(params, low, np.arange(n_max + 1), lower[:, : n_max + 1], False)
+    r_max, tall = min(n_max, m_max), m_max > n_max
     entries = np.empty((m_max + 1, n_max + 1))
+    table = _log_laguerre_table(params.laguerre_arg, r_max, max(n_max, m_max),
+                                entries.T if tall else entries)
+    low, side = np.arange(r_max + 1)[:, None], table[:, : r_max + 1].copy()
+    _log_entries(params, low, np.arange(r_max + 1), side, not tall)
+    _log_entries(params, low, np.arange(table.shape[1]), table, tall)
+    first = 0 if tall else 1  # the diagonal keeps its lower-branch value
+    for r in range(1, r_max + 1):  # all shifts before any side copy
+        table[r, r:] = table[r, : table.shape[1] - r]
     for r in range(r_max + 1):
-        entries[r, r:] = lower[r, : n_max + 1 - r]
-        entries[r + 1 :, r] = upper[r, 1 : m_max + 1 - r]
+        table[r + first :, r] = side[r, first : r_max + 1 - r]
     np.exp(entries, out=entries)
     return ResponseMatrix(entries, params)
 

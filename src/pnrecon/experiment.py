@@ -272,8 +272,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
         m_max = config.m_max
         if m_max is None:
             m_max = suggest_m_max(config.detector_true, n_max, config.window_tail)
-        mat_true = build_response(config.detector_true, n_max, m_max)
-        counts_true = forward(mat_true, photon)
+        counts_true = forward(build_response(config.detector_true, n_max, m_max), photon)
     with _stage("sampling"):
         if config.sampling is None:
             counts_emp = counts_true

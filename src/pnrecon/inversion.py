@@ -40,7 +40,7 @@ class InversionOverflowError(OverflowError):
         self.m = m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseMatrix:
     """Dense inverse-response matrix in signed-log form.
 

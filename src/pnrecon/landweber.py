@@ -113,7 +113,7 @@ class LandweberConfig:
             object.__setattr__(self, "initial", initial)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solver output: the estimate plus per-iteration bookkeeping.
 

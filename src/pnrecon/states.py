@@ -48,7 +48,7 @@ class SumDeviationError(DistributionFileError):
     """The file's entries do not sum to 1 within tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhotonDistribution:
     """Probabilities over photon numbers 0..N plus the truncation bound.
 

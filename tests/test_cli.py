@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +659,19 @@ class TestRunExperiment:
         summary = run_experiment(config, tmp_path / "out")
         assert summary["sampling_relative_error"] == 0.0
         assert summary["relative_error"] <= 1e-3
+
+    def test_thermal_run_peak_memory(self, tmp_path):
+        # the two 322 x 703 matrices take 1.81 MB each; the true-detector one
+        # is dropped once the true counts are formed, so they never coexist
+        config = load_config("thermal_fig1", seed=7)
+        run_experiment(config, tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            run_experiment(config, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2e6
 
     @pytest.mark.parametrize("seed", [3.7, 3.0, True])
     def test_non_integral_seed_override_rejected(self, seed):

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pnrecon.detector import (
@@ -14,6 +14,7 @@ from pnrecon.detector import (
     ResponseMatrix,
     _log_entry_m_ge_n,
     _log_entry_m_le_n,
+    _log_entries,
     _log_laguerre_table,
     build_response,
     forward,
@@ -22,8 +23,10 @@ from pnrecon.detector import (
 )
 from pnrecon import distio
 from pnrecon.experiment import build_state, bundled_config_names, load_config
+from pnrecon.inversion import build_inverse
+from pnrecon.landweber import ConstraintSet, LandweberConfig, SolveReport, auto_chi
 from pnrecon.special import log_laguerre_nonpos
-from pnrecon.states import fock, thermal
+from pnrecon.states import PhotonDistribution, fock, thermal
 
 mp.mp.dps = 50
 
@@ -184,9 +187,9 @@ class TestBuildResponse:
         )
 
     def test_thermal_window_peak_memory(self):
-        # the Laguerre table and the matrix of this 322 x 703 window take
-        # 1.81 MB each; full-grid index and value temporaries would add
-        # several more
+        # the table is built inside the 1.81 MB matrix of this 322 x 703
+        # window, next to a 0.83 MB 322 x 322 side block; a separate table or
+        # upper-branch copy would add 1.81 MB more
         params = load_config("thermal_fig1").detector_assumed
         build_response(params, 702, 321)
         tracemalloc.start()
@@ -195,12 +198,13 @@ class TestBuildResponse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 3.0e6
 
     def test_transposed_thermal_window_peak_memory(self):
-        # m_max > n_max: the upper branch spans the whole 322 x 703 table;
-        # the table, its upper copy and the matrix take 1.81 MB each, and an
-        # index grid plus a gathered copy of ln m! would add 3.6 MB more
+        # m_max > n_max: the table is built inside the transpose of the
+        # 703 x 322 matrix (1.81 MB) and the lower branch on the 322 x 322
+        # side block (0.83 MB); a separate table or an upper-branch copy of
+        # the whole table would add 1.81 MB more
         params = load_config("thermal_fig1").detector_assumed
         build_response(params, 321, 702)
         tracemalloc.start()
@@ -209,7 +213,7 @@ class TestBuildResponse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.5e6
+        assert peak < 3.0e6
 
     def test_binomial_loss_columns_sum_to_one(self):
         mat = build_response(DetectorParams(0.5, 0.0), 30, 30)
@@ -260,6 +264,58 @@ class TestBuildResponse:
         mat = build_response(params, n_max, m_max)
         assert np.all(mat.entries >= 0)
         assert np.all(mat.entries.sum(axis=0) >= 1.0 - 1e-9)
+
+
+def table_then_assemble_entries(params, n_max, m_max):
+    """The previous build, kept as a bitwise reference: one full ln L table,
+    an upper-branch copy of it and the matrix, whose row and column r are
+    filled from table row r."""
+    r_max = min(n_max, m_max)
+    lower = _log_laguerre_table(params.laguerre_arg, r_max, max(n_max, m_max))
+    low, upper = np.arange(r_max + 1)[:, None], lower[:, : m_max + 1].copy()
+    _log_entries(params, low, np.arange(m_max + 1), upper, True)
+    _log_entries(params, low, np.arange(n_max + 1), lower[:, : n_max + 1], False)
+    entries = np.empty((m_max + 1, n_max + 1))
+    for r in range(r_max + 1):
+        entries[r, r:] = lower[r, : n_max + 1 - r]
+        entries[r + 1 :, r] = upper[r, 1 : m_max + 1 - r]
+    np.exp(entries, out=entries)
+    return entries
+
+
+class TestInPlaceBuild:
+    """The in-buffer build against the table-then-assemble reference, bit
+    for bit, in wide (m_max < n_max), tall and square windows."""
+
+    @pytest.mark.parametrize(
+        "config,n_max,m_max",
+        [("thermal_fig1", 702, 321), ("thermal_fig1", 321, 702),
+         ("spats_fig2", 276, 255), ("cat_fig4", 60, 63)],
+        ids=["thermal", "thermal-transposed", "spats", "cat"],
+    )
+    def test_bundled_windows_bitwise(self, config, n_max, m_max):
+        for params in (load_config(config).detector_true, load_config(config).detector_assumed):
+            built = build_response(params, n_max, m_max).entries
+            assert np.array_equal(built, table_then_assemble_entries(params, n_max, m_max))
+
+    @given(
+        eta=st.floats(0.05, 1.0, exclude_min=True),
+        n_noise=st.one_of(st.just(0.0), st.floats(0.0, 3.0, exclude_min=True)),
+        n_max=st.integers(0, 25),
+        m_max=st.integers(0, 25),
+    )
+    @example(eta=1.0, n_noise=0.5, n_max=4, m_max=9)
+    @example(eta=0.5, n_noise=0.0, n_max=9, m_max=4)
+    def test_small_windows_bitwise(self, eta, n_noise, n_max, m_max):
+        params = DetectorParams(eta, n_noise)
+        built = build_response(params, n_max, m_max).entries
+        assert np.array_equal(built, table_then_assemble_entries(params, n_max, m_max))
+
+    def test_table_into_a_strided_destination(self):
+        x = DetectorParams(0.35, 0.29).laguerre_arg
+        dest = np.full((41, 12), np.nan).T  # row 0 must be written, not assumed
+        assert _log_laguerre_table(x, 11, 40, dest) is dest
+        assert np.array_equal(dest, _log_laguerre_table(x, 11, 40))
 
 
 def log_rel_diff(a: float, b: float) -> float:
@@ -502,6 +558,48 @@ class TestResponseMatrix:
             assert np.array_equal(mat.col_tail, derived)
             assert mat.col_tail.max() > 0.0
         assert ResponseMatrix([[0.5, 1.0]], params).col_tail.tolist() == [0.5, 0.0]
+
+    def test_writable_again_entries_are_rechecked(self):
+        mat = build_response(DetectorParams(0.5, 0.1), 3, 4)
+        auto_chi(mat)
+        mat.entries.flags.writeable = True
+        mat.entries[4, 0] = 0.0
+        assert mat.col_tail[0] == 1.0 - mat.entries[:, 0].sum()
+        mat.entries[1, 1] = math.nan
+        for use in (auto_chi, lambda m: m.col_tail, lambda m: m.sigma_max_sq):
+            with pytest.raises(ValueError, match=r"non-finite entry nan at \(m, n\) = \(1, 1\)"):
+                use(mat)
+
+
+def array_holding_records():
+    """Pairs of equal-valued records of each type that holds arrays."""
+    params = DetectorParams(0.5, 0.1)
+    makers = [
+        lambda: build_response(params, 3, 4),
+        lambda: CountDistribution(np.full(4, 0.25)),
+        lambda: PhotonDistribution(np.full(4, 0.25)),
+        lambda: build_inverse(params, 3, 3),
+        lambda: SolveReport(np.ones(3), 1, np.ones(1), np.ones(1), "discrepancy", 0.5),
+    ]
+    return [(make(), make()) for make in makers]
+
+
+@pytest.mark.parametrize(
+    "a, b", array_holding_records(),
+    ids=["ResponseMatrix", "CountDistribution", "PhotonDistribution", "InverseMatrix",
+         "SolveReport"],
+)
+def test_array_holding_records_compare_by_identity(a, b):
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+    assert {a, b, a} == {a, b} and len({a, b}) == 2 and a in {a} and b not in {a}
+
+
+def test_array_free_records_keep_value_equality():
+    assert DetectorParams(0.5, 0.1) == DetectorParams(0.5, 0.1)
+    assert len({DetectorParams(0.5, 0.1), DetectorParams(0.5, 0.1)}) == 1
+    assert LandweberConfig(chi=0.5) == LandweberConfig(chi=0.5)
+    assert ConstraintSet.nonnegative() == ConstraintSet.nonnegative()
 
 
 class TestCountDistribution:
