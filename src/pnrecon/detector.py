@@ -206,12 +206,20 @@ def _log_laguerre_table(x: float, r_max: int, s_max: int, _out=None) -> np.ndarr
     out = np.empty((r_max + 1, s_max + 1)) if _out is None else _out
     s, out[0] = np.arange(s_max + 1.0), 0.0
     eps, mantissa, exponent = s - x, np.ones_like(s), np.zeros_like(s)
-    for r in range(1, r_max + 1):
-        rho = 1.0 + eps
-        mantissa, step = np.frexp(mantissa * rho)
+    rho, sr, step = np.empty_like(s), s + 1.0, np.empty(s.shape, np.intc)
+    for r in range(1, r_max + 1):  # in place throughout; sr = s + r
+        np.add(eps, 1.0, rho)
+        np.multiply(mantissa, rho, mantissa)
+        np.frexp(mantissa, mantissa, step)
         exponent += step
-        np.add(np.log2(mantissa), exponent, out=out[r])
-        eps = ((s + r) * eps / rho - x) / (r + 1)
+        row = out[r]
+        np.log2(mantissa, out=row)
+        row += exponent
+        np.multiply(sr, eps, eps)
+        np.divide(eps, rho, eps)
+        np.subtract(eps, x, eps)
+        np.divide(eps, r + 1, eps)
+        sr += 1.0
     out *= math.log(2.0)
     return out
 

@@ -13,7 +13,11 @@ about 1e-15 relative). A masked solve iterates on the support columns of S
 only, sliced once, and scatters the estimate back with the pinned entries
 +0.0; chi still comes from the full S. sigma_max is a property of the
 ResponseMatrix, computed on its first use and kept with its read-only
-entries, so warm restarts on one matrix reuse it. The iteration count
+entries, so warm restarts on one matrix reuse it. Step j writes its iterate
+into row j % 32 of a ring, the row before it being the previous iterate; the
+residual norms and masses of a lap of 32 steps are flushed into the
+histories in one vectorized pass, bit for bit what per-step appends give,
+and the report holds the histories without a copy. The iteration count
 regularizes: on noisy data the iterates first approach and then drift away
 from the truth, so the solver stops at the noise level (discrepancy
 principle) given a noise estimate.
@@ -40,6 +44,9 @@ __all__ = [
     "solve",
 ]
 
+_LAP = 32  # ring rows: iterates between two history flushes
+
+
 class RelaxationBoundError(ValueError):
     """An explicit relaxation parameter violates the convergence bound."""
 
@@ -47,15 +54,28 @@ class RelaxationBoundError(ValueError):
 @dataclass(frozen=True)
 class ConstraintSet:
     """Convex constraints: nonnegativity, plus an optional support mask
-    (entries where the mask is False are pinned to zero)."""
+    (entries where the mask is False are pinned to zero). The mask must be
+    1-d with entries True/False or exactly 0/1."""
 
     support_mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.support_mask is not None:
-            object.__setattr__(
-                self, "support_mask", np.asarray(self.support_mask, dtype=bool)
-            )
+            mask = np.asarray(self.support_mask)
+            if mask.ndim != 1:
+                raise ValueError(
+                    f"support mask must be 1-d, got shape {mask.shape}"
+                )
+            if mask.dtype != bool:
+                numeric = mask.dtype.kind in "iuf"
+                valid = np.isin(mask, (0, 1)) if numeric else np.zeros(mask.shape, bool)
+                if not valid.all():
+                    at = int(np.argmin(valid))
+                    raise ValueError(
+                        "support mask entries must be True/False or 0/1, got "
+                        f"{mask[at]!r} at index {at}"
+                    )
+            object.__setattr__(self, "support_mask", mask.astype(bool, copy=False))
 
     @classmethod
     def nonnegative(cls) -> "ConstraintSet":
@@ -120,7 +140,9 @@ class SolveReport:
     residual_history[j] is the Euclidean data misfit after iteration j+1;
     normalization_history[j] is the total mass of that iterate (useful as
     an accuracy track since the true distribution sums to one, while the
-    projection deliberately does not enforce it).
+    projection deliberately does not enforce it). Both histories are
+    filled once per lap of the solver's ring of iterates and are views of
+    its history buffers, not copies.
     """
 
     estimate: np.ndarray
@@ -160,6 +182,13 @@ def auto_chi(mat: ResponseMatrix) -> float:
     """Default relaxation parameter 1/sigma_max(S)^2, safely inside the
     convergence interval (0, 2/sigma_max^2)."""
     return 1.0 / mat.sigma_max_sq
+
+
+def _flush(residuals, masses, sq, ring, n):
+    """Append the histories of the first n ring rows: sqrt is IEEE, as in
+    math.sqrt, and each row sum is the pairwise sum that new.sum() takes."""
+    residuals.frombytes(np.sqrt(sq[:n]).tobytes())
+    masses.frombytes(np.add.reduce(ring[:n], axis=1).tobytes())
 
 
 def solve(
@@ -213,46 +242,56 @@ def solve(
     residuals = array("d")
     masses = array("d")
     stop_reason = "max_iterations"
-    iterations = config.max_iterations
     threshold = config.discrepancy_tau * config.noise_level
-    grad, new, r = np.empty(p.size), np.empty(p.size), np.empty(rows)
+    discrepancy = config.noise_level > 0.0
+    tol = config.stagnation_tol
+    # step j writes ring row j % lap, and the row before it is p; the
+    # histories of a lap are flushed in one go before its rows are reused
+    lap = min(_LAP, config.max_iterations)
+    ring, sq = np.empty((lap, p.size)), np.empty(lap)
+    slots = list(ring)
+    grad, r = np.empty(p.size), np.empty(rows)
+    chi_0d, zero_0d = np.array(chi), np.array(0.0)  # no scalar conversion per call
+    dot, multiply, subtract, maximum = np.dot, np.multiply, np.subtract, np.maximum
     adjoint = matrix.T  # a view: no transposed copy
-    np.dot(matrix, p, out=r)
-    r -= data
+    dot(matrix, p, r)
+    subtract(r, data, r)
+    i = -1
     for j in range(config.max_iterations):
-        np.dot(adjoint, r, out=grad)
-        grad *= chi
-        np.subtract(p, grad, out=new)
-        np.maximum(new, 0.0, out=new)  # project() in place
-        np.dot(matrix, new, out=r)
-        r -= data
-        residual = math.sqrt(np.dot(r, r))
-        residuals.append(residual)
-        masses.append(np.add.reduce(new))  # what new.sum() computes
-        stalled = False
-        if config.stagnation_tol > 0.0:
-            step = np.subtract(new, p, out=grad)
-            scale = max(math.sqrt(new @ new), 1e-300)
-            stalled = math.sqrt(step @ step) <= config.stagnation_tol * scale
-        p, new = new, p
-        if config.noise_level > 0.0 and residual <= threshold:
+        i += 1
+        new = slots[i]
+        dot(adjoint, r, grad)
+        multiply(grad, chi_0d, grad)
+        subtract(p, grad, new)
+        maximum(new, zero_0d, out=new)  # project() in place
+        dot(matrix, new, r)
+        subtract(r, data, r)
+        sq[i] = d = dot(r, r)
+        if discrepancy and math.sqrt(d) <= threshold:
             stop_reason = "discrepancy"
-            iterations = j + 1
             break
-        if stalled:
-            stop_reason = "stagnation"
-            iterations = j + 1
-            break
+        if tol > 0.0:
+            step = subtract(new, p, grad)
+            scale = max(math.sqrt(new @ new), 1e-300)
+            if math.sqrt(step @ step) <= tol * scale:
+                stop_reason = "stagnation"
+                break
+        p = new
+        if i == lap - 1:
+            _flush(residuals, masses, sq, ring, lap)
+            i = -1
+    _flush(residuals, masses, sq, ring, i + 1)
 
-    estimate = p
-    if support is not None:
+    if support is None:
+        estimate = new.copy()  # not a view that keeps the ring alive
+    else:
         estimate = np.zeros(cols)
-        estimate[support] = p
+        estimate[support] = new
     return SolveReport(
         estimate=estimate,
-        iterations_run=iterations,
-        residual_history=np.array(residuals),
-        normalization_history=np.array(masses),
+        iterations_run=j + 1,
+        residual_history=np.frombuffer(residuals),
+        normalization_history=np.frombuffer(masses),
         stop_reason=stop_reason,
         chi=chi,
     )

@@ -266,12 +266,28 @@ class TestBuildResponse:
         assert np.all(mat.entries.sum(axis=0) >= 1.0 - 1e-9)
 
 
+def laguerre_table_reference(x, r_max, s_max, _out=None):
+    """The ln L_r^s table as built with a fresh array per operation, kept as
+    a bitwise reference for the in-place recurrence."""
+    out = np.empty((r_max + 1, s_max + 1)) if _out is None else _out
+    s, out[0] = np.arange(s_max + 1.0), 0.0
+    eps, mantissa, exponent = s - x, np.ones_like(s), np.zeros_like(s)
+    for r in range(1, r_max + 1):
+        rho = 1.0 + eps
+        mantissa, step = np.frexp(mantissa * rho)
+        exponent += step
+        np.add(np.log2(mantissa), exponent, out=out[r])
+        eps = ((s + r) * eps / rho - x) / (r + 1)
+    out *= math.log(2.0)
+    return out
+
+
 def table_then_assemble_entries(params, n_max, m_max):
     """The previous build, kept as a bitwise reference: one full ln L table,
     an upper-branch copy of it and the matrix, whose row and column r are
     filled from table row r."""
     r_max = min(n_max, m_max)
-    lower = _log_laguerre_table(params.laguerre_arg, r_max, max(n_max, m_max))
+    lower = laguerre_table_reference(params.laguerre_arg, r_max, max(n_max, m_max))
     low, upper = np.arange(r_max + 1)[:, None], lower[:, : m_max + 1].copy()
     _log_entries(params, low, np.arange(m_max + 1), upper, True)
     _log_entries(params, low, np.arange(n_max + 1), lower[:, : n_max + 1], False)
@@ -316,6 +332,24 @@ class TestInPlaceBuild:
         dest = np.full((41, 12), np.nan).T  # row 0 must be written, not assumed
         assert _log_laguerre_table(x, 11, 40, dest) is dest
         assert np.array_equal(dest, _log_laguerre_table(x, 11, 40))
+        assert np.array_equal(dest, laguerre_table_reference(x, 11, 40))
+
+    @pytest.mark.parametrize(
+        "config,n_max,m_max",
+        [("thermal_fig1", 702, 321), ("thermal_fig1", 321, 702),
+         ("spats_fig2", 276, 255), ("cat_fig4", 60, 63)],
+        ids=["thermal", "thermal-transposed", "spats", "cat"],
+    )
+    def test_table_matches_reference_bitwise(self, config, n_max, m_max):
+        r_max, s_max = min(n_max, m_max), max(n_max, m_max)
+        for params in (load_config(config).detector_true, load_config(config).detector_assumed):
+            x = params.laguerre_arg
+            want = laguerre_table_reference(x, r_max, s_max)
+            assert np.array_equal(_log_laguerre_table(x, r_max, s_max), want)
+            # the layout build_response writes into for a tall window
+            dest = np.full((s_max + 1, r_max + 1), np.nan).T
+            _log_laguerre_table(x, r_max, s_max, dest)
+            assert np.array_equal(dest, want)
 
 
 def log_rel_diff(a: float, b: float) -> float:

@@ -3,6 +3,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from array import array
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from pnrecon.detector import (
 )
 from pnrecon import detector, distio
 from pnrecon.landweber import (
+    _LAP,
     ConstraintSet,
     LandweberConfig,
     RelaxationBoundError,
+    SolveReport,
     auto_chi,
     project,
     solve,
@@ -99,6 +102,82 @@ def pinned_reference(entries, data, chi, mask, config):
     return p, np.array(residuals), config.max_iterations, "max_iterations"
 
 
+def per_step_reference(mat, counts, constraints, config):
+    """The solver with its histories appended every step and two iterate
+    buffers swapped, kept as a bitwise reference for the ring of iterates."""
+    matrix = mat.entries
+    rows, cols = matrix.shape
+    data = detector.zero_pad(counts.probs, rows, "count vector", "matrix rows")
+    mask = constraints.support_mask
+    top = mat.sigma_max_sq
+    chi = 1.0 / top if config.chi is None else config.chi
+    if config.initial is None:
+        p = np.zeros(cols)
+    else:
+        p = project(config.initial, constraints)
+
+    support = None if mask is None or mask.all() else np.flatnonzero(mask)
+    if support is not None:
+        matrix = np.ascontiguousarray(matrix[:, support])
+        p = p[support]
+    residuals = array("d")
+    masses = array("d")
+    stop_reason = "max_iterations"
+    iterations = config.max_iterations
+    threshold = config.discrepancy_tau * config.noise_level
+    grad, new, r = np.empty(p.size), np.empty(p.size), np.empty(rows)
+    adjoint = matrix.T  # a view: no transposed copy
+    np.dot(matrix, p, out=r)
+    r -= data
+    for j in range(config.max_iterations):
+        np.dot(adjoint, r, out=grad)
+        grad *= chi
+        np.subtract(p, grad, out=new)
+        np.maximum(new, 0.0, out=new)  # project() in place
+        np.dot(matrix, new, out=r)
+        r -= data
+        residual = math.sqrt(np.dot(r, r))
+        residuals.append(residual)
+        masses.append(np.add.reduce(new))  # what new.sum() computes
+        stalled = False
+        if config.stagnation_tol > 0.0:
+            step = np.subtract(new, p, out=grad)
+            scale = max(math.sqrt(new @ new), 1e-300)
+            stalled = math.sqrt(step @ step) <= config.stagnation_tol * scale
+        p, new = new, p
+        if config.noise_level > 0.0 and residual <= threshold:
+            stop_reason = "discrepancy"
+            iterations = j + 1
+            break
+        if stalled:
+            stop_reason = "stagnation"
+            iterations = j + 1
+            break
+
+    estimate = p
+    if support is not None:
+        estimate = np.zeros(cols)
+        estimate[support] = p
+    return SolveReport(
+        estimate=estimate,
+        iterations_run=iterations,
+        residual_history=np.array(residuals),
+        normalization_history=np.array(masses),
+        stop_reason=stop_reason,
+        chi=chi,
+    )
+
+
+def assert_same_report(got, want):
+    assert (got.iterations_run, got.stop_reason, got.chi) == (
+        want.iterations_run, want.stop_reason, want.chi
+    )
+    for name in ("estimate", "residual_history", "normalization_history"):
+        # bytes, so that the sign of a zero counts too
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.estimate.flags.owndata  # not a view that pins the ring
+
+
 def cat_window():
     """The even-cat window and exact counts of the gate-6 call pattern."""
     photon = even_cat(23.9, 1e-10)
@@ -152,6 +231,33 @@ class TestProject:
     def test_mask_length_mismatch(self):
         with pytest.raises(ValueError):
             project(np.ones(3), ConstraintSet(np.array([True, False])))
+
+    @pytest.mark.parametrize(
+        "mask", [np.array([[1, 0], [0, 1]], bool), np.array([[1, 0, 1]], bool),
+                 np.array(True), [[True, False, True, False]]],
+        ids=["2x2", "1x3", "0-d", "nested-list"],
+    )
+    def test_mask_must_be_1d(self, mask):
+        with pytest.raises(ValueError, match="support mask must be 1-d"):
+            ConstraintSet(mask)
+
+    @pytest.mark.parametrize(
+        "mask", [[0.5, 0, 1, 1], [1, 0, 2, 1], [1.0, np.nan, 0.0], [1, -1, 0],
+                 ["yes", "", "no"], np.array(["1", "0"]), [1 + 0j, 0j]],
+        ids=["half", "two", "nan", "minus-one", "strings", "digit-strings", "complex"],
+    )
+    def test_mask_entries_must_be_boolean_or_0_1(self, mask):
+        with pytest.raises(ValueError, match="must be True/False or 0/1"):
+            ConstraintSet(mask)
+
+    @pytest.mark.parametrize(
+        "mask", [[True, False, True], [1, 0, 1], [1.0, 0.0, 1.0],
+                 np.array([1, 0, 1], np.uint8)],
+        ids=["bool", "int", "float", "uint8"],
+    )
+    def test_mask_of_0_1_is_boolean(self, mask):
+        got = ConstraintSet(mask).support_mask
+        assert got.dtype == bool and got.tolist() == [True, False, True]
 
 
 class TestAutoChi:
@@ -303,6 +409,89 @@ class TestSigmaMaxReuse:
         mat.entries[0, 0] = 2.0
         assert auto_chi(mat) == pytest.approx(0.25, rel=1e-12)
         assert len(calls) == 2
+
+
+def random_problem(seed, masked):
+    """A 20 x 15 matrix, noisy data and a constraint set, for the ring tests."""
+    rng = np.random.default_rng(seed)
+    entries = rng.uniform(0.0, 1.0, size=(20, 15))
+    data = entries @ rng.uniform(0.0, 1.0, size=15)
+    data += rng.normal(0.0, 0.05 * data.std(), size=20)
+    mask = rng.uniform(size=15) < 0.6 if masked else None
+    return plain_matrix(entries), CountDistribution(data), ConstraintSet(mask)
+
+
+class TestRingOfIterates:
+    """The solver against the per-step reference, bit for bit, around the
+    lap boundaries where the histories are flushed."""
+
+    @pytest.mark.parametrize(
+        "max_iterations", [1, _LAP - 1, _LAP, _LAP + 1, 2 * _LAP + 3]
+    )
+    @pytest.mark.parametrize("masked", [False, True], ids=["nonneg", "masked"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_max_iterations_around_a_lap(self, max_iterations, masked, warm):
+        mat, counts, constraints = random_problem(31, masked)
+        initial = np.random.default_rng(4).normal(size=15) if warm else None
+        config = LandweberConfig(
+            max_iterations=max_iterations, stagnation_tol=0.0, initial=initial
+        )
+        got = solve(mat, counts, constraints, config)
+        assert got.stop_reason == "max_iterations"
+        assert_same_report(got, per_step_reference(mat, counts, constraints, config))
+
+    @pytest.mark.parametrize(
+        "stop_at", [_LAP, _LAP + 1, 2 * _LAP, 2 * _LAP + 1],
+        ids=["lap-end", "next-lap-start", "second-lap-end", "third-lap-start"],
+    )
+    @pytest.mark.parametrize("stop", ["discrepancy", "stagnation"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["nonneg", "masked"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_stop_on_either_side_of_a_flush(self, stop_at, stop, masked, warm):
+        mat, counts, constraints = random_problem(31, masked)
+        initial = np.random.default_rng(4).normal(size=15) if warm else None
+        if stop == "discrepancy":
+            # the residual falls strictly: stop exactly at step stop_at
+            free = LandweberConfig(max_iterations=stop_at, stagnation_tol=0.0,
+                                   initial=initial)
+            level = per_step_reference(mat, counts, constraints, free).residual_history
+            config = LandweberConfig(
+                max_iterations=1000, stagnation_tol=0.0, discrepancy_tau=1.0,
+                noise_level=math.sqrt(level[stop_at - 2] * level[stop_at - 1]),
+                initial=initial,
+            )
+        else:
+            # the relative step falls strictly: stop exactly at step stop_at
+            iterates = [
+                solve(mat, counts, constraints, LandweberConfig(
+                    max_iterations=k, stagnation_tol=0.0, initial=initial)).estimate
+                for k in range(stop_at - 2, stop_at + 1)
+            ]
+            steps = [np.linalg.norm(after - before) / np.linalg.norm(after)
+                     for before, after in zip(iterates, iterates[1:])]
+            config = LandweberConfig(
+                max_iterations=1000, stagnation_tol=math.sqrt(steps[0] * steps[1]),
+                initial=initial,
+            )
+        got = solve(mat, counts, constraints, config)
+        assert (got.stop_reason, got.iterations_run) == (stop, stop_at)
+        assert_same_report(got, per_step_reference(mat, counts, constraints, config))
+
+    @pytest.mark.parametrize("name", ["thermal_fig1", "spats_fig2", "cat_fig4"])
+    @pytest.mark.parametrize("stop", ["max_iterations", "stagnation", "discrepancy"])
+    def test_bundled_windows(self, name, stop):
+        mat, counts = run_window(name)
+        constraints = (ConstraintSet.even_support(mat.n_max + 1)
+                       if name == "cat_fig4" else ConstraintSet.nonnegative())
+        config = LandweberConfig(max_iterations=2 * _LAP + 3, stagnation_tol=0.0)
+        if stop == "stagnation":
+            config = LandweberConfig(max_iterations=20_000, stagnation_tol=1e-5)
+        elif stop == "discrepancy":
+            level = per_step_reference(mat, counts, constraints, config).residual_history
+            config = LandweberConfig(noise_level=level[_LAP], discrepancy_tau=1.0)
+        got = solve(mat, counts, constraints, config)
+        assert got.stop_reason == stop and got.iterations_run > _LAP
+        assert_same_report(got, per_step_reference(mat, counts, constraints, config))
 
 
 class TestSolve:
@@ -489,7 +678,26 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5e5
+        # the two 5000-entry histories, returned without a copy, and a
+        # 32-row ring of iterates
+        assert peak < 1.5e5
+
+    def test_thermal_window_ring_is_sized_by_the_lap(self):
+        # a ring of max_iterations rows of 703 entries would be 562 MB
+        mat, counts = run_window("thermal_fig1")
+        free = solve(mat, counts, config=LandweberConfig(max_iterations=2 * _LAP + 3))
+        config = LandweberConfig(
+            max_iterations=100_000, noise_level=free.residual_history[-1],
+            discrepancy_tau=1.0,
+        )
+        tracemalloc.start()
+        try:
+            report = solve(mat, counts, config=config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.stop_reason == "discrepancy"
+        assert peak < 5e5
 
     def test_iterates_respect_constraints(self):
         dist = thermal(4, 1e-8)
