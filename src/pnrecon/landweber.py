@@ -167,6 +167,8 @@ def project(v: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
     """Exact Euclidean projection onto the constraint set: clip negatives
     to zero and zero out entries outside the support mask."""
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"vector to project must be 1-d, got shape {v.shape}")
     mask = constraints.support_mask
     if mask is None:
         return np.maximum(v, 0.0)

@@ -662,7 +662,8 @@ class TestRunExperiment:
 
     def test_thermal_run_peak_memory(self, tmp_path):
         # the two 322 x 703 matrices take 1.81 MB each; the true-detector one
-        # is dropped once the true counts are formed, so they never coexist
+        # is dropped once the true counts are formed, so they never coexist:
+        # 2.06 MB measured, bounded at that plus about 20%
         config = load_config("thermal_fig1", seed=7)
         run_experiment(config, tmp_path / "warm")
         tracemalloc.start()
@@ -671,7 +672,7 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.2e6
+        assert peak < 2.5e6
 
     @pytest.mark.parametrize("seed", [3.7, 3.0, True])
     def test_non_integral_seed_override_rejected(self, seed):

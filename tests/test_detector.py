@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -14,8 +15,6 @@ from pnrecon.detector import (
     ResponseMatrix,
     _log_entry_m_ge_n,
     _log_entry_m_le_n,
-    _log_entries,
-    _log_laguerre_table,
     build_response,
     forward,
     response_entry,
@@ -25,7 +24,6 @@ from pnrecon import distio
 from pnrecon.experiment import build_state, bundled_config_names, load_config
 from pnrecon.inversion import build_inverse
 from pnrecon.landweber import ConstraintSet, LandweberConfig, SolveReport, auto_chi
-from pnrecon.special import log_laguerre_nonpos
 from pnrecon.states import PhotonDistribution, fock, thermal
 
 mp.mp.dps = 50
@@ -187,9 +185,9 @@ class TestBuildResponse:
         )
 
     def test_thermal_window_peak_memory(self):
-        # the table is built inside the 1.81 MB matrix of this 322 x 703
-        # window, next to a 0.83 MB 322 x 322 side block; a separate table or
-        # upper-branch copy would add 1.81 MB more
+        # the recurrence runs inside the 1.81 MB matrix of this 322 x 703
+        # window with one 322-entry work column: 1.83 MB measured, bounded
+        # at that plus 20%; a second matrix-sized buffer would add 1.81 MB
         params = load_config("thermal_fig1").detector_assumed
         build_response(params, 702, 321)
         tracemalloc.start()
@@ -198,13 +196,12 @@ class TestBuildResponse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.0e6
+        assert peak < 2.2e6
 
     def test_transposed_thermal_window_peak_memory(self):
-        # m_max > n_max: the table is built inside the transpose of the
-        # 703 x 322 matrix (1.81 MB) and the lower branch on the 322 x 322
-        # side block (0.83 MB); a separate table or an upper-branch copy of
-        # the whole table would add 1.81 MB more
+        # m_max > n_max: the 703 x 322 matrix (1.81 MB) and a 703-entry
+        # work column: 1.83 MB measured, bounded at that plus 20%; a
+        # second matrix-sized buffer would add 1.81 MB
         params = load_config("thermal_fig1").detector_assumed
         build_response(params, 321, 702)
         tracemalloc.start()
@@ -213,7 +210,7 @@ class TestBuildResponse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.0e6
+        assert peak < 2.2e6
 
     def test_binomial_loss_columns_sum_to_one(self):
         mat = build_response(DetectorParams(0.5, 0.0), 30, 30)
@@ -266,42 +263,52 @@ class TestBuildResponse:
         assert np.all(mat.entries.sum(axis=0) >= 1.0 - 1e-9)
 
 
-def laguerre_table_reference(x, r_max, s_max, _out=None):
-    """The ln L_r^s table as built with a fresh array per operation, kept as
-    a bitwise reference for the in-place recurrence."""
-    out = np.empty((r_max + 1, s_max + 1)) if _out is None else _out
-    s, out[0] = np.arange(s_max + 1.0), 0.0
-    eps, mantissa, exponent = s - x, np.ones_like(s), np.zeros_like(s)
-    for r in range(1, r_max + 1):
-        rho = 1.0 + eps
-        mantissa, step = np.frexp(mantissa * rho)
-        exponent += step
-        np.add(np.log2(mantissa), exponent, out=out[r])
-        eps = ((s + r) * eps / rho - x) / (r + 1)
-    out *= math.log(2.0)
-    return out
+@functools.lru_cache(maxsize=None)
+def oracle_tables(eta, n_noise, size):
+    """Powers 0..size of eta, 1 - eta and N, and the factorials 0!..size!,
+    at 50 digits."""
+    eta, noise = mp.mpf(eta), mp.mpf(n_noise)
+    tables = ([mp.mpf(1)], [mp.mpf(1)], [mp.mpf(1)], [mp.mpf(1)])
+    for j in range(1, size + 1):
+        for table, factor in zip(tables, (eta, 1 - eta, noise, j)):
+            table.append(table[-1] * factor)
+    return tables
 
 
-def table_then_assemble_entries(params, n_max, m_max):
-    """The previous build, kept as a bitwise reference: one full ln L table,
-    an upper-branch copy of it and the matrix, whose row and column r are
-    filled from table row r."""
-    r_max = min(n_max, m_max)
-    lower = laguerre_table_reference(params.laguerre_arg, r_max, max(n_max, m_max))
-    low, upper = np.arange(r_max + 1)[:, None], lower[:, : m_max + 1].copy()
-    _log_entries(params, low, np.arange(m_max + 1), upper, True)
-    _log_entries(params, low, np.arange(n_max + 1), lower[:, : n_max + 1], False)
-    entries = np.empty((m_max + 1, n_max + 1))
-    for r in range(r_max + 1):
-        entries[r, r:] = lower[r, : n_max + 1 - r]
-        entries[r + 1 :, r] = upper[r, 1 : m_max + 1 - r]
-    np.exp(entries, out=entries)
-    return entries
+def thinning_oracle(params, m, n, size):
+    """Arbitrary-precision S[m|n] as the binomial-Poisson sum over the k of
+    the n photons counted, m - k being noise counts; m, n <= size."""
+    eta_pow, keep_pow, noise_pow, fact = oracle_tables(params.eta, params.n_noise, size)
+    return mp.exp(-mp.mpf(params.n_noise)) * mp.fsum(
+        math.comb(n, k) * eta_pow[k] * keep_pow[n - k] * noise_pow[m - k] / fact[m - k]
+        for k in range(min(m, n) + 1)
+    )
 
 
-class TestInPlaceBuild:
-    """The in-buffer build against the table-then-assemble reference, bit
-    for bit, in wide (m_max < n_max), tall and square windows."""
+def assert_matches_thinning_oracle(entries, params, cells, rtol):
+    """Each sampled entry of at least 1e-290 within ``rtol`` of the oracle;
+    below that the double's subnormal range is allowed to lose digits.
+    Returns the number of entries checked to ``rtol``."""
+    checked, size = 0, max(entries.shape)
+    for m, n in cells:
+        exact = thinning_oracle(params, m, n, size)
+        if exact >= 1e-290:
+            assert abs(mp.mpf(entries[m, n]) / exact - 1) <= rtol, (m, n)
+            checked += 1
+        else:
+            assert entries[m, n] <= 1e-290, (m, n)
+    return checked
+
+
+def sampled_cells(rng, n_max, m_max, size):
+    corners = [(0, 0), (m_max, 0), (0, n_max), (m_max, n_max)]
+    ms = rng.integers(0, m_max + 1, size=size).tolist()
+    ns = rng.integers(0, n_max + 1, size=size).tolist()
+    return corners + list(zip(ms, ns))
+
+
+class TestThinningBuild:
+    """The thinning recurrence against a 50-digit binomial-Poisson sum."""
 
     @pytest.mark.parametrize(
         "config,n_max,m_max",
@@ -309,105 +316,53 @@ class TestInPlaceBuild:
          ("spats_fig2", 276, 255), ("cat_fig4", 60, 63)],
         ids=["thermal", "thermal-transposed", "spats", "cat"],
     )
-    def test_bundled_windows_bitwise(self, config, n_max, m_max):
+    def test_bundled_windows_against_mpmath(self, config, n_max, m_max):
+        # both detectors: eta = 0.34 and 0.35 take the col - eta col form,
+        # the others the exact 1 - eta
+        rng = np.random.default_rng(29)
         for params in (load_config(config).detector_true, load_config(config).detector_assumed):
-            built = build_response(params, n_max, m_max).entries
-            assert np.array_equal(built, table_then_assemble_entries(params, n_max, m_max))
-
-    @given(
-        eta=st.floats(0.05, 1.0, exclude_min=True),
-        n_noise=st.one_of(st.just(0.0), st.floats(0.0, 3.0, exclude_min=True)),
-        n_max=st.integers(0, 25),
-        m_max=st.integers(0, 25),
-    )
-    @example(eta=1.0, n_noise=0.5, n_max=4, m_max=9)
-    @example(eta=0.5, n_noise=0.0, n_max=9, m_max=4)
-    def test_small_windows_bitwise(self, eta, n_noise, n_max, m_max):
-        params = DetectorParams(eta, n_noise)
-        built = build_response(params, n_max, m_max).entries
-        assert np.array_equal(built, table_then_assemble_entries(params, n_max, m_max))
-
-    def test_table_into_a_strided_destination(self):
-        x = DetectorParams(0.35, 0.29).laguerre_arg
-        dest = np.full((41, 12), np.nan).T  # row 0 must be written, not assumed
-        assert _log_laguerre_table(x, 11, 40, dest) is dest
-        assert np.array_equal(dest, _log_laguerre_table(x, 11, 40))
-        assert np.array_equal(dest, laguerre_table_reference(x, 11, 40))
+            entries = build_response(params, n_max, m_max).entries
+            cells = sampled_cells(rng, n_max, m_max, 60)
+            cells += [(m, 0) for m in range(0, m_max + 1, m_max // 8 or 1)]  # the Poisson column
+            cells += [(0, n) for n in range(0, n_max + 1, n_max // 8 or 1)]  # lossy row 0
+            assert assert_matches_thinning_oracle(entries, params, cells, 1e-14) >= 20
 
     @pytest.mark.parametrize(
-        "config,n_max,m_max",
-        [("thermal_fig1", 702, 321), ("thermal_fig1", 321, 702),
-         ("spats_fig2", 276, 255), ("cat_fig4", 60, 63)],
-        ids=["thermal", "thermal-transposed", "spats", "cat"],
-    )
-    def test_table_matches_reference_bitwise(self, config, n_max, m_max):
-        r_max, s_max = min(n_max, m_max), max(n_max, m_max)
-        for params in (load_config(config).detector_true, load_config(config).detector_assumed):
-            x = params.laguerre_arg
-            want = laguerre_table_reference(x, r_max, s_max)
-            assert np.array_equal(_log_laguerre_table(x, r_max, s_max), want)
-            # the layout build_response writes into for a tall window
-            dest = np.full((s_max + 1, r_max + 1), np.nan).T
-            _log_laguerre_table(x, r_max, s_max, dest)
-            assert np.array_equal(dest, want)
-
-
-def log_rel_diff(a: float, b: float) -> float:
-    """Relative difference of exp(a) and exp(b)."""
-    return abs(math.expm1(a - b))
-
-
-class TestLaguerreTable:
-    """The ratio-recurrence table against the scalar series and mpmath."""
-
-    # the assumed detector and (r_max, s_max) = (min, max) of the window
-    # that `run` builds for each bundled config
-    @pytest.mark.parametrize(
-        "config,r_max,s_max",
-        [("thermal_fig1", 321, 702), ("spats_fig2", 255, 276)],
-    )
-    def test_full_window_against_scalar_and_mpmath(self, config, r_max, s_max):
-        params = load_config(config).detector_assumed
-        x = params.laguerre_arg
-        lag = _log_laguerre_table(x, r_max, s_max)
-        assert lag.shape == (r_max + 1, s_max + 1)
-        rng = np.random.default_rng(17)
-        rs = rng.integers(0, r_max + 1, size=200)
-        ss = rng.integers(0, s_max + 1, size=200)
-        corners = [(0, 0), (r_max, 0), (0, s_max), (r_max, s_max)]
-        for r, s in corners + list(zip(rs.tolist(), ss.tolist())):
-            scalar = log_laguerre_nonpos(r, s, x)
-            assert log_rel_diff(lag[r, s], scalar) <= 1e-11, (r, s)
-        for r, s in zip(rs[:20].tolist(), ss[:20].tolist()):
-            exact = mp.log(mp.laguerre(r, s, mp.mpf(x)))
-            assert abs(mp.expm1(mp.mpf(lag[r, s]) - exact)) <= 1e-12, (r, s)
-
-    @pytest.mark.parametrize(
-        "params,r_max,s_max",
+        "params,n_max,m_max,rtol",
         [
-            (DetectorParams(1.0, 0.0), 300, 300),
-            (DetectorParams(0.2, 300.0), 300, 300),
-            (DetectorParams(0.5, 1e-3), 600, 700),
-            (DetectorParams(0.613749, 1.763442), 0, 300),
-            (DetectorParams(0.613749, 1.763442), 300, 0),
+            (DetectorParams(1.0, 0.748), 40, 60, 1e-14),
+            (DetectorParams(0.37, 0.0), 60, 40, 1e-14),
+            (DetectorParams(0.613749, 1.763442), 0, 200, 1e-14),
+            (DetectorParams(0.613749, 1.763442), 200, 0, 1e-14),
+            (DetectorParams(0.5, 800.0), 60, 1100, 1e-12),
         ],
-        ids=["x-zero-binomials", "x-minus-1200", "x-minus-0.001", "r-max-zero",
-             "s-max-zero"],
+        ids=["eta-1", "noise-0", "n-max-0", "m-max-0", "noise-800"],
     )
-    def test_edge_windows_against_mpmath(self, params, r_max, s_max):
-        x = params.laguerre_arg
-        lag = _log_laguerre_table(x, r_max, s_max)
-        assert lag.shape == (r_max + 1, s_max + 1)
-        rng = np.random.default_rng(23)
-        rs = rng.integers(0, r_max + 1, size=20).tolist()
-        ss = rng.integers(0, s_max + 1, size=20).tolist()
-        corners = [(0, 0), (r_max, 0), (0, s_max), (r_max, s_max)]
-        for r, s in corners + list(zip(rs, ss)):
-            if x == 0.0:
-                exact = mp.log(mp.binomial(r + s, r))
-            else:
-                exact = mp.log(mp.laguerre(r, s, mp.mpf(x)))
-            assert abs(mp.expm1(mp.mpf(lag[r, s]) - exact)) <= 1e-12, (r, s)
+    def test_edge_windows_against_mpmath(self, params, n_max, m_max, rtol):
+        # at N = 800, e^{-N} underflows and the pmf is anchored at its mode,
+        # whose ln N! ~ 4500 rounds at ~5e-13 relative
+        entries = build_response(params, n_max, m_max).entries
+        cells = sampled_cells(np.random.default_rng(31), n_max, m_max, 25)
+        assert assert_matches_thinning_oracle(entries, params, cells, rtol) >= 4
+
+    def test_entries_are_c_contiguous_and_read_only(self):
+        for n_max, m_max in ((702, 321), (321, 702)):
+            entries = build_response(DetectorParams(0.35, 0.29), n_max, m_max).entries
+            assert entries.flags.c_contiguous and entries.flags.owndata
+            assert not entries.flags.writeable
+
+    @pytest.mark.parametrize("config", ["thermal_fig1", "spats_fig2"])
+    def test_forward_bits_survive_matrix_file_round_trip(self, config, tmp_path):
+        # the layout of the entries picks the BLAS kernel of S @ p: a matrix
+        # built in another order gives other bits than its JSON-read copy
+        cfg = load_config(config)
+        photon = build_state(cfg.state)
+        m_max = suggest_m_max(cfg.detector_assumed, photon.n_max, cfg.window_tail)
+        built = build_response(cfg.detector_assumed, photon.n_max, m_max)
+        distio.write_matrix(tmp_path / "S.json", built)
+        read = distio.read_matrix(tmp_path / "S.json")
+        assert np.array_equal(read.entries, built.entries)
+        assert forward(read, photon).probs.tobytes() == forward(built, photon).probs.tobytes()
 
     @given(
         eta=st.floats(0.05, 1.0),
@@ -422,13 +377,10 @@ class TestLaguerreTable:
         assert np.all(mat.entries >= 0)
         assert np.all(sums <= 1.0 + 1e-12)
         assert np.array_equal(mat.col_tail, np.maximum(0.0, 1.0 - sums))
-        r_max, s_max = min(n_max, m_max), max(n_max, m_max)
-        x = params.laguerre_arg
-        lag = _log_laguerre_table(x, r_max, s_max)
-        for r in range(r_max + 1):
-            for s in range(s_max + 1):
-                scalar = log_laguerre_nonpos(r, s, x)
-                assert log_rel_diff(lag[r, s], scalar) <= 1e-12, (r, s)
+        for m in range(m_max + 1):
+            for n in range(n_max + 1):
+                assert mat.entries[m, n] == pytest.approx(
+                    response_entry(params, m, n), rel=1e-11, abs=1e-300), (m, n)
 
 
 class TestForward:
@@ -499,7 +451,7 @@ def suggest_m_max_reference(params: DetectorParams, n_max: int, tail: float) -> 
 class TestSuggestMMax:
     """suggest_m_max against the scalar loop it replaced (kept above
     verbatim as suggest_m_max_reference): one response_entry per m,
-    accumulated in order."""
+    accumulated in order; and against the built column."""
 
     @pytest.mark.parametrize("detector", ["detector_true", "detector_assumed"])
     @pytest.mark.parametrize("config", bundled_config_names())
@@ -522,6 +474,37 @@ class TestSuggestMMax:
         assert suggest_m_max(params, n_max, tail) == (
             suggest_m_max_reference(params, n_max, tail)
         )
+
+    @pytest.mark.parametrize(
+        "config,m_max",
+        [("thermal_fig1", 321), ("spats_fig2", 255), ("spats_fig3_direct", 255), ("cat_fig4", 63)],
+    )
+    def test_bundled_run_windows_pinned(self, config, m_max):
+        # the window `run` builds: the true detector at the config's tail
+        cfg = load_config(config)
+        assert suggest_m_max(cfg.detector_true, build_state(cfg.state).n_max, cfg.window_tail) == m_max
+
+    @pytest.mark.parametrize(
+        "eta,noise,n_max,m_max", [(0.34, 0.30, 702, 321), (0.7764, 0.748, 276, 255)],
+        ids=["readme-build-detector", "spats-cli-chain"],
+    )
+    def test_cli_build_detector_windows_pinned(self, eta, noise, n_max, m_max):
+        assert suggest_m_max(DetectorParams(eta, noise), n_max, 1e-10) == m_max
+
+    def test_seeded_cases_match_cumulative_sum_of_built_column(self):
+        # column n_max of a matrix built down to the cap, summed in order
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            params = DetectorParams(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.01, 3.0)))
+            n_max, tail = int(rng.integers(0, 90)), float(10.0 ** rng.uniform(-12, -2))
+            cap = n_max + _SUGGEST_HARD_MARGIN
+            column = build_response(params, n_max, cap).entries[:, n_max]
+            crossed = np.flatnonzero(1.0 - np.cumsum(column) <= tail)
+            want = int(crossed[0]) if crossed.size else cap
+            assert suggest_m_max(params, n_max, tail) == want, (params, n_max, tail)
+
+    def test_noise_pmf_below_the_cap_underflowing_gives_the_cap(self):
+        assert suggest_m_max(DetectorParams(0.5, 1e6), 10, 1e-10) == 10 + _SUGGEST_HARD_MARGIN
 
     def test_identity_detector(self):
         assert suggest_m_max(DetectorParams(1.0, 0.0), 10, 1e-9) == 10

@@ -233,6 +233,16 @@ class TestProject:
             project(np.ones(3), ConstraintSet(np.array([True, False])))
 
     @pytest.mark.parametrize(
+        "constraints", [ConstraintSet.nonnegative(), ConstraintSet(np.array([True, False] * 2))],
+        ids=["nonnegative", "4-entry-mask"],
+    )
+    def test_vector_must_be_1d(self, constraints):
+        # unchecked, the first returned a 2x2 array and the second raised
+        # numpy's broadcast error
+        with pytest.raises(ValueError, match=r"vector to project must be 1-d, got shape \(2, 2\)"):
+            project(np.ones((2, 2)), constraints)
+
+    @pytest.mark.parametrize(
         "mask", [np.array([[1, 0], [0, 1]], bool), np.array([[1, 0, 1]], bool),
                  np.array(True), [[True, False, True, False]]],
         ids=["2x2", "1x3", "0-d", "nested-list"],
