@@ -31,13 +31,11 @@ from .landweber import (
     LandweberConfig,
     RelaxationBoundError,
     SolveReport,
-    auto_chi,
     project,
     solve,
 )
 from .metrics import ErrorReport, normalization_defect, relative_error, relative_residual
 from .sampling import SamplingConfig, expected_sampling_error, sample_counts
-from .special import SignedLogValue, kummer_phi, laguerre_assoc, log_factorial
 from .states import PhotonDistribution, even_cat, fock, from_file, spats, thermal
 
 __all__ = [
@@ -58,7 +56,6 @@ __all__ = [
     "LandweberConfig",
     "RelaxationBoundError",
     "SolveReport",
-    "auto_chi",
     "project",
     "solve",
     "ErrorReport",
@@ -68,10 +65,6 @@ __all__ = [
     "SamplingConfig",
     "expected_sampling_error",
     "sample_counts",
-    "SignedLogValue",
-    "kummer_phi",
-    "laguerre_assoc",
-    "log_factorial",
     "PhotonDistribution",
     "even_cat",
     "fock",

@@ -20,6 +20,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__, distio
 from .detector import DetectorParams, build_response, forward, suggest_m_max
 from .experiment import (
@@ -139,11 +141,23 @@ def _cmd_invert_direct(args) -> int:
     return EXIT_OK
 
 
+def _read_finite(path) -> np.ndarray:
+    """Values of a distribution file, rejecting a NaN or infinite entry;
+    negative entries pass, as a raw direct-inversion estimate has them."""
+    values, _ = distio.read_distribution(path)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(
+            f"{path}: non-finite entry {values[bad[0]]} at index {bad[0]}"
+        )
+    return values
+
+
 def _cmd_metrics(args) -> int:
     if (args.detector is None) != (args.measured is None):
         raise ConfigError("--detector and --measured must be given together")
-    est_values, _ = distio.read_distribution(args.estimate)
-    truth_values, _ = distio.read_distribution(args.truth)
+    est_values = _read_finite(args.estimate)
+    truth_values = _read_finite(args.truth)
     payload = {
         "relative_error": relative_error(est_values, truth_values),
         "normalization_defect": normalization_defect(est_values),

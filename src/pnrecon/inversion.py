@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import CountDistribution, DetectorParams
-from .special import MAX_LOG, SignedLogValue, kummer_phi, log_factorial_table, log_kummer
+from .special import MAX_LOG, log_factorial_table, log_kummer
 from .states import _require_probabilities
 
 __all__ = [
@@ -81,11 +81,10 @@ def _log_inverse_m_le_n(
     if noise == 0.0 and n > m:
         return -math.inf, 0
     y = noise * (1.0 - params.eta) / params.eta
-    phi = kummer_phi(n + 1, n - m + 1, y)
     table = log_factorial_table(n - m)
     log_mag = (
         -n * math.log(params.eta)
-        + phi.log_magnitude
+        + float(log_kummer(n + 1, n - m + 1, y))
         + noise
         - table[n - m]
     )
@@ -101,11 +100,10 @@ def _log_inverse_m_ge_n(
     if params.eta == 1.0 and m > n:
         return -math.inf, 0
     y = params.n_noise * (1.0 - params.eta) / params.eta
-    phi = kummer_phi(m + 1, m - n + 1, y)
     table = log_factorial_table(m)
     log_mag = (
         params.n_noise
-        + phi.log_magnitude
+        + float(log_kummer(m + 1, m - n + 1, y))
         + table[m]
         - table[n]
         - table[m - n]
@@ -116,15 +114,16 @@ def _log_inverse_m_ge_n(
     return log_mag, (-1) ** (m - n)
 
 
-def inverse_entry(params: DetectorParams, n: int, m: int) -> SignedLogValue:
-    """Entry Sinv[n|m] of the analytic inverse, in signed-log form."""
+def inverse_entry(
+    params: DetectorParams, n: int, m: int
+) -> tuple[float, int]:
+    """(log magnitude, sign) of the entry Sinv[n|m] of the analytic
+    inverse; a dead entry is (-inf, 0)."""
     if n < 0 or m < 0:
         raise ValueError(f"require n, m >= 0, got n={n}, m={m}")
     if m <= n:
-        log_mag, sign = _log_inverse_m_le_n(params, n, m)
-    else:
-        log_mag, sign = _log_inverse_m_ge_n(params, n, m)
-    return SignedLogValue(log_mag, sign)
+        return _log_inverse_m_le_n(params, n, m)
+    return _log_inverse_m_ge_n(params, n, m)
 
 
 def build_inverse(

@@ -40,7 +40,6 @@ __all__ = [
     "SolveReport",
     "RelaxationBoundError",
     "project",
-    "auto_chi",
     "solve",
 ]
 
@@ -178,12 +177,6 @@ def project(v: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
             f"of length {v.size}"
         )
     return np.where(mask, np.maximum(v, 0.0), 0.0)
-
-
-def auto_chi(mat: ResponseMatrix) -> float:
-    """Default relaxation parameter 1/sigma_max(S)^2, safely inside the
-    convergence interval (0, 2/sigma_max^2)."""
-    return 1.0 / mat.sigma_max_sq
 
 
 def _flush(residuals, masses, sq, ring, n):

@@ -11,17 +11,12 @@ here is accumulated in log space without cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SignedLogValue",
-    "laguerre_assoc",
     "log_laguerre_nonpos",
     "log_kummer",
-    "kummer_phi",
-    "log_factorial",
     "log_factorial_table",
 ]
 
@@ -52,42 +47,6 @@ def log_factorial_table(n_max: int) -> np.ndarray:
         size = max(n_max + 1, 2 * _log_fact_cache.size)
         _log_fact_cache = np.array([_log_fact(i) for i in range(size)])
     return _log_fact_cache[: n_max + 1]
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!), exact for n <= 20, log-gamma beyond; monotone in n."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return _log_fact(int(n))
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as sign and natural log of magnitude.
-
-    ``sign`` is 0 exactly when the value is zero, in which case
-    ``log_magnitude`` carries no information.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    @classmethod
-    def from_float(cls, value: float) -> "SignedLogValue":
-        if value == 0.0:
-            return cls(-math.inf, 0)
-        return cls(math.log(abs(value)), 1 if value > 0 else -1)
-
-    def to_float(self) -> float:
-        """Convert back, raising instead of silently producing inf."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_magnitude > MAX_LOG:
-            raise OverflowError(
-                f"signed-log value exp({self.log_magnitude:.6g}) exceeds "
-                "double range"
-            )
-        return self.sign * math.exp(self.log_magnitude)
 
 
 def log_laguerre_nonpos(n, k, x: float):
@@ -125,34 +84,6 @@ def log_laguerre_nonpos(n, k, x: float):
     return top if top.ndim else float(top)
 
 
-def laguerre_assoc(n: int, k: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^k(x).
-
-    Parameters
-    ----------
-    n : int
-        Degree, nonnegative.
-    k : int
-        Order, at least -n.
-    x : float
-        Argument, nonpositive: there the defining sum has no cancellation
-        and is accumulated in log space. x > 0 raises ValueError.
-
-    Returns
-    -------
-    float
-        L_n^k(x).
-    """
-    log_value = log_laguerre_nonpos(n, k, x)  # validates n, k and x
-    if x == 0.0:
-        return float(math.comb(n + k, n))
-    if log_value > MAX_LOG:
-        raise OverflowError(
-            f"L_{n}^{k}({x}) = exp({log_value:.6g}) exceeds double range"
-        )
-    return math.exp(log_value)
-
-
 def log_kummer(a, b, x: float):
     """ln Phi(a, b; x), elementwise over integer grids (or scalars)
     a, b >= 1 at one argument x >= 0.
@@ -176,17 +107,3 @@ def log_kummer(a, b, x: float):
             f"Kummer series Phi(a, b; {x}) overflowed at term {i + 1}"
         ) from None
     return np.log(total)
-
-
-def kummer_phi(a: int, b: int, x: float) -> SignedLogValue:
-    """Kummer confluent hypergeometric function Phi(a, b; x) for integer
-    a, b >= 1 and x >= 0, summed by :func:`log_kummer`.
-
-    Returns the value in signed-log form; the sign is always +1 on this
-    domain.
-    """
-    if a < 1 or b < 1:
-        raise ValueError(f"require a >= 1 and b >= 1, got a={a}, b={b}")
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"require finite x >= 0, got x={x}")
-    return SignedLogValue(float(log_kummer(a, b, x)), 1)

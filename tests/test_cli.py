@@ -153,6 +153,43 @@ class TestSubcommands:
             "est.json", "truth.json"
         ]
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    @pytest.mark.parametrize("flag", ["--estimate", "--truth"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_metrics_rejects_non_finite_entry_on_read(
+        self, tmp_path, capsys, bad, flag, to_file
+    ):
+        files = {"--estimate": tmp_path / "est.json", "--truth": tmp_path / "truth.json"}
+        for name, path in files.items():
+            path.write_text(f"[0.5, {bad}, 0.5]" if name == flag else "[0.5, 0.0, 0.5]")
+        out = tmp_path / "err.json"
+        capsys.readouterr()
+        code = run_cli(
+            "metrics",
+            "--estimate", str(files["--estimate"]),
+            "--truth", str(files["--truth"]),
+            *(["--output", str(out)] if to_file else []),
+        )
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert str(files[flag]) in err["message"]
+        assert "non-finite" in err["message"] and "index 1" in err["message"]
+
+    def test_metrics_accepts_negative_entries(self, tmp_path, capsys):
+        # a raw invert-direct estimate has them
+        est = tmp_path / "est.json"
+        truth = tmp_path / "truth.json"
+        est.write_text("[-0.25, 1.25]")
+        truth.write_text("[0.5, 0.5]")
+        capsys.readouterr()
+        assert run_cli("metrics", "--estimate", str(est), "--truth", str(truth)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["normalization_defect"] == 0.0
+
     def test_metrics_residual_matches_library(self, tmp_path):
         det = tmp_path / "S.json"
         est = tmp_path / "est.json"

@@ -23,7 +23,7 @@ from pnrecon.detector import (
 from pnrecon import distio
 from pnrecon.experiment import build_state, bundled_config_names, load_config
 from pnrecon.inversion import build_inverse
-from pnrecon.landweber import ConstraintSet, LandweberConfig, SolveReport, auto_chi
+from pnrecon.landweber import ConstraintSet, LandweberConfig, SolveReport
 from pnrecon.states import PhotonDistribution, fock, thermal
 
 mp.mp.dps = 50
@@ -578,12 +578,12 @@ class TestResponseMatrix:
 
     def test_writable_again_entries_are_rechecked(self):
         mat = build_response(DetectorParams(0.5, 0.1), 3, 4)
-        auto_chi(mat)
+        mat.sigma_max_sq
         mat.entries.flags.writeable = True
         mat.entries[4, 0] = 0.0
         assert mat.col_tail[0] == 1.0 - mat.entries[:, 0].sum()
         mat.entries[1, 1] = math.nan
-        for use in (auto_chi, lambda m: m.col_tail, lambda m: m.sigma_max_sq):
+        for use in (lambda m: m.col_tail, lambda m: m.sigma_max_sq):
             with pytest.raises(ValueError, match=r"non-finite entry nan at \(m, n\) = \(1, 1\)"):
                 use(mat)
 

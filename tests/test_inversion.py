@@ -23,6 +23,12 @@ from pnrecon.states import fock
 mp.mp.dps = 50
 
 
+def entry_value(params, n, m):
+    """Sinv[n|m] as a float, from the (log magnitude, sign) pair."""
+    log_mag, sign = inverse_entry(params, n, m)
+    return sign * math.exp(log_mag) if sign else 0.0
+
+
 def inverse_oracle(eta, n_noise, n, m):
     """Arbitrary-precision evaluation of the closed-form inverse entry."""
     eta = mp.mpf(eta)
@@ -58,13 +64,13 @@ def inverse_oracle(eta, n_noise, n, m):
 
 class TestInverseEntry:
     def test_pure_loss_first_offdiagonal(self):
-        got = inverse_entry(DetectorParams(0.5, 0.0), 0, 1)
-        assert got.to_float() == pytest.approx(-1.0, rel=1e-14)
+        got = entry_value(DetectorParams(0.5, 0.0), 0, 1)
+        assert got == pytest.approx(-1.0, rel=1e-14)
 
     def test_noiseless_diagonal_is_inverse_power(self):
         params = DetectorParams(0.7, 0.0)
         for n in (0, 1, 5, 12):
-            got = inverse_entry(params, n, n).to_float()
+            got = entry_value(params, n, n)
             assert got == pytest.approx(0.7**-n, rel=1e-13)
 
     @pytest.mark.parametrize(
@@ -79,8 +85,8 @@ class TestInverseEntry:
         ],
     )
     def test_frozen_oracle_values(self, n, m, expected):
-        got = inverse_entry(DetectorParams(0.7764, 0.748), n, m)
-        assert got.to_float() == pytest.approx(expected, rel=1e-10)
+        got = entry_value(DetectorParams(0.7764, 0.748), n, m)
+        assert got == pytest.approx(expected, rel=1e-10)
 
     def test_oracle_grid(self):
         rng = np.random.default_rng(11)
@@ -89,7 +95,7 @@ class TestInverseEntry:
             n = int(rng.integers(0, 41))
             m = int(rng.integers(0, 41))
             expected = float(inverse_oracle("0.7764", "0.748", n, m))
-            assert inverse_entry(params, n, m).to_float() == pytest.approx(
+            assert entry_value(params, n, m) == pytest.approx(
                 expected, rel=1e-10
             )
 
@@ -109,21 +115,32 @@ class TestInverseEntry:
         params = DetectorParams(0.7764, 0.748)
         for n in range(12):
             for m in range(12):
-                sign = inverse_entry(params, n, m).sign
+                _, sign = inverse_entry(params, n, m)
                 assert sign == (-1) ** abs(n - m)
 
 
 class TestBuildInverse:
-    def test_matches_scalar_entries(self):
-        params = DetectorParams(0.613749, 1.763442)
+    @pytest.mark.parametrize(
+        "params, dead",
+        [
+            (DetectorParams(0.613749, 1.763442), False),
+            (DetectorParams(0.5, 0.0), True),  # no noise: m < n dead
+            (DetectorParams(1.0, 0.7), True),  # no loss: m > n dead
+        ],
+        ids=["lossy-noisy", "noiseless", "lossless"],
+    )
+    def test_matches_scalar_entries(self, params, dead):
         inv = build_inverse(params, 15, 20)
+        assert np.any(inv.sign == 0) == dead
         for n in range(16):
             for m in range(21):
-                scalar = inverse_entry(params, n, m)
-                assert inv.sign[n, m] == scalar.sign
-                if scalar.sign != 0:
+                log_mag, sign = inverse_entry(params, n, m)
+                assert inv.sign[n, m] == sign
+                if sign == 0:
+                    assert (log_mag, sign) == (-math.inf, 0)
+                else:
                     assert inv.log_magnitude[n, m] == pytest.approx(
-                        scalar.log_magnitude, rel=1e-12, abs=1e-12
+                        log_mag, rel=1e-12, abs=1e-12
                     )
 
     @pytest.mark.parametrize(

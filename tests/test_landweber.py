@@ -24,7 +24,6 @@ from pnrecon.landweber import (
     LandweberConfig,
     RelaxationBoundError,
     SolveReport,
-    auto_chi,
     project,
     solve,
 )
@@ -272,12 +271,12 @@ class TestProject:
 
 class TestAutoChi:
     def test_identity(self):
-        assert auto_chi(plain_matrix(np.eye(10))) == pytest.approx(
+        assert 1.0 / plain_matrix(np.eye(10)).sigma_max_sq == pytest.approx(
             1.0, rel=1e-6
         )
 
     def test_scaled_diagonal(self):
-        assert auto_chi(plain_matrix(2.0 * np.eye(6))) == pytest.approx(
+        assert 1.0 / plain_matrix(2.0 * np.eye(6)).sigma_max_sq == pytest.approx(
             0.25, rel=1e-6
         )
 
@@ -287,7 +286,7 @@ class TestAutoChi:
         m_max = suggest_m_max(params, dist.n_max, 1e-10)
         mat = build_response(params, dist.n_max, m_max)
         sigma_max = np.linalg.svd(mat.entries, compute_uv=False)[0]
-        assert auto_chi(mat) == pytest.approx(1.0 / sigma_max**2, rel=1e-4)
+        assert 1.0 / mat.sigma_max_sq == pytest.approx(1.0 / sigma_max**2, rel=1e-4)
 
     @pytest.mark.parametrize("name", ["thermal_fig1", "spats_fig2", "cat_fig4"])
     def test_run_windows_against_svd(self, name):
@@ -295,13 +294,13 @@ class TestAutoChi:
         # cat_fig4 tall (64 x 61)
         mat, _ = run_window(name)
         sigma_max = np.linalg.svd(mat.entries, compute_uv=False)[0]
-        assert auto_chi(mat) == pytest.approx(1.0 / sigma_max**2, rel=1e-6)
+        assert 1.0 / mat.sigma_max_sq == pytest.approx(1.0 / sigma_max**2, rel=1e-6)
 
     @pytest.mark.parametrize("name", ["thermal_fig1", "spats_fig2", "cat_fig4"])
     def test_run_windows_match_svd_to_round_off(self, name):
         mat, _ = run_window(name)
         sigma_max = np.linalg.svd(mat.entries, compute_uv=False)[0]
-        assert auto_chi(mat) == pytest.approx(1.0 / sigma_max**2, rel=1e-12)
+        assert 1.0 / mat.sigma_max_sq == pytest.approx(1.0 / sigma_max**2, rel=1e-12)
 
     @pytest.mark.parametrize(
         "entries",
@@ -317,7 +316,7 @@ class TestAutoChi:
     )
     def test_edge_shapes_match_svd_to_round_off(self, entries):
         sigma_max = np.linalg.svd(entries, compute_uv=False)[0]
-        assert auto_chi(plain_matrix(entries)) == pytest.approx(
+        assert 1.0 / plain_matrix(entries).sigma_max_sq == pytest.approx(
             1.0 / sigma_max**2, rel=1e-12
         )
 
@@ -325,7 +324,7 @@ class TestAutoChi:
     def test_solve_default_chi_is_auto_chi(self, name):
         mat, counts = run_window(name)
         report = solve(mat, counts, config=LandweberConfig(max_iterations=1))
-        assert report.chi == auto_chi(mat)
+        assert report.chi == 1.0 / mat.sigma_max_sq
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -344,7 +343,7 @@ class TestAutoChi:
             return
         mat = plain_matrix(entries)
         with pytest.raises(ValueError, match=message):
-            auto_chi(mat)
+            mat.sigma_max_sq
         with pytest.raises(ValueError, match=message):
             solve(mat, CountDistribution(np.full(4, 0.25)),
                   config=LandweberConfig(chi=chi))
@@ -371,15 +370,15 @@ class TestSigmaMaxReuse:
                 mat, counts, constraints,
                 LandweberConfig(max_iterations=5, initial=estimate),
             ).estimate
-        auto_chi(mat)
+        mat.sigma_max_sq
         assert len(calls) == 1
 
     def test_each_matrix_keeps_its_own_sigma_max(self, monkeypatch):
         calls = self.count_lanczos(monkeypatch)
         first, second = plain_matrix(np.eye(3)), plain_matrix(2.0 * np.eye(3))
         for _ in range(2):
-            assert auto_chi(first) == pytest.approx(1.0, rel=1e-12)
-            assert auto_chi(second) == pytest.approx(0.25, rel=1e-12)
+            assert 1.0 / first.sigma_max_sq == pytest.approx(1.0, rel=1e-12)
+            assert 1.0 / second.sigma_max_sq == pytest.approx(0.25, rel=1e-12)
         assert len(calls) == 2
 
     def test_solved_matrix_is_not_kept_alive(self):
@@ -398,26 +397,26 @@ class TestSigmaMaxReuse:
 
     def test_entries_are_read_only(self):
         mat = plain_matrix(np.eye(3))
-        auto_chi(mat)
+        mat.sigma_max_sq
         with pytest.raises(ValueError, match="read-only"):
             mat.entries[0, 0] = 2.0
-        assert auto_chi(mat) == pytest.approx(1.0, rel=1e-12)
+        assert 1.0 / mat.sigma_max_sq == pytest.approx(1.0, rel=1e-12)
 
     def test_view_entries_are_copied(self):
         base = np.eye(4)
         mat = plain_matrix(base[:, :3])
-        assert auto_chi(mat) == pytest.approx(1.0, rel=1e-12)
+        assert 1.0 / mat.sigma_max_sq == pytest.approx(1.0, rel=1e-12)
         base[0, 0] = 2.0
         assert mat.entries[0, 0] == 1.0
-        assert auto_chi(mat) == pytest.approx(1.0, rel=1e-12)
+        assert 1.0 / mat.sigma_max_sq == pytest.approx(1.0, rel=1e-12)
 
     def test_writable_again_entries_are_recomputed(self, monkeypatch):
         calls = self.count_lanczos(monkeypatch)
         mat = plain_matrix(np.eye(3))
-        assert auto_chi(mat) == pytest.approx(1.0, rel=1e-12)
+        assert 1.0 / mat.sigma_max_sq == pytest.approx(1.0, rel=1e-12)
         mat.entries.flags.writeable = True
         mat.entries[0, 0] = 2.0
-        assert auto_chi(mat) == pytest.approx(0.25, rel=1e-12)
+        assert 1.0 / mat.sigma_max_sq == pytest.approx(0.25, rel=1e-12)
         assert len(calls) == 2
 
 
@@ -611,7 +610,7 @@ class TestSolve:
         )
         mat = plain_matrix(entries)
         report = solve(mat, CountDistribution(data), ConstraintSet(mask), config)
-        assert report.chi == auto_chi(mat)  # from all columns, not the support
+        assert report.chi == 1.0 / mat.sigma_max_sq  # from all columns, not the support
         estimate, residuals, iterations, reason = pinned_reference(
             entries, data, report.chi, mask, config
         )
