@@ -11,7 +11,6 @@ with nonnegativity and optional support constraints.
 __version__ = "0.1.0"
 
 from .detector import (
-    CountDistribution,
     DetectorParams,
     ResponseMatrix,
     build_response,
@@ -20,7 +19,6 @@ from .detector import (
     suggest_m_max,
 )
 from .inversion import (
-    InverseMatrix,
     InversionOverflowError,
     build_inverse,
     direct_reconstruct,
@@ -34,20 +32,18 @@ from .landweber import (
     project,
     solve,
 )
-from .metrics import ErrorReport, normalization_defect, relative_error, relative_residual
+from .metrics import normalization_defect, relative_error, relative_residual
 from .sampling import SamplingConfig, expected_sampling_error, sample_counts
 from .states import PhotonDistribution, even_cat, fock, from_file, spats, thermal
 
 __all__ = [
     "__version__",
-    "CountDistribution",
     "DetectorParams",
     "ResponseMatrix",
     "build_response",
     "forward",
     "response_entry",
     "suggest_m_max",
-    "InverseMatrix",
     "InversionOverflowError",
     "build_inverse",
     "direct_reconstruct",
@@ -58,7 +54,6 @@ __all__ = [
     "SolveReport",
     "project",
     "solve",
-    "ErrorReport",
     "normalization_defect",
     "relative_error",
     "relative_residual",

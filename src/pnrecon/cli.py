@@ -82,7 +82,7 @@ def _cmd_forward(args) -> int:
     photon = PhotonDistribution(values, max(0.0, 1.0 - float(values.sum())))
     photon.validate()
     counts = forward(mat, photon)
-    distio.write_distribution(args.output, counts.probs, fmt=args.format)
+    distio.write_distribution(args.output, counts, fmt=args.format)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -93,7 +93,7 @@ def _cmd_sample(args) -> int:
     empirical = sample_counts(counts, config)
     distio.write_distribution(
         args.output,
-        empirical.probs,
+        empirical,
         metadata={
             "nu": config.events,
             "seed": config.seed,

@@ -29,15 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import log_factorial_table, log_laguerre_nonpos
-from .states import (_SUM_UPPER_SLACK, PhotonDistribution, _check_tail,
-                     _require_probabilities, _require_real)
+from .states import PhotonDistribution, _check_tail, _require_real
 
 __all__ = [
     "DetectorParams",
-    "CountDistribution",
     "ResponseMatrix",
     "response_entry",
     "build_response",
+    "zero_pad",
     "forward",
     "suggest_m_max",
 ]
@@ -66,23 +65,6 @@ class DetectorParams:
     def laguerre_arg(self) -> float:
         """N(eta-1)/eta, nonpositive on the valid parameter range."""
         return self.n_noise * (self.eta - 1.0) / self.eta
-
-
-@dataclass(frozen=True, eq=False)
-class CountDistribution:
-    """Probabilities (or empirical frequencies) over photocount numbers."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-
-    def validate(self) -> None:
-        if self.probs.ndim != 1 or self.probs.size == 0:
-            raise ValueError("probs must be a nonempty 1-d vector")
-        _require_probabilities(self.probs, "count", "m")
-        if float(self.probs.sum()) > 1.0 + _SUM_UPPER_SLACK:
-            raise ValueError("count probabilities sum to more than 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,14 +243,15 @@ def zero_pad(values, size: int, name: str, limit: str) -> np.ndarray:
     return np.pad(values, (0, size - values.size))
 
 
-def forward(mat: ResponseMatrix, p: PhotonDistribution) -> CountDistribution:
-    """Apply the forward map: counts[m] = sum_n S[m|n] p[n].
+def forward(mat: ResponseMatrix, p: PhotonDistribution) -> np.ndarray:
+    """Apply the forward map: counts[m] = sum_n S[m|n] p[n], returned as a
+    float vector over m = 0..m_max.
 
     The photon vector may be shorter than the matrix column count; it is
     zero-padded. A longer vector is a dimension mismatch.
     """
     probs = zero_pad(p.probs, mat.n_max + 1, "photon vector", "matrix columns")
-    return CountDistribution(mat.entries @ probs)
+    return mat.entries @ probs
 
 
 def suggest_m_max(params: DetectorParams, n_max: int, tail: float) -> int:

@@ -12,18 +12,21 @@ formatting each value on its own.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .detector import CountDistribution, DetectorParams, ResponseMatrix
-from .states import ParseError, _require_integer, parse_vector
+from .detector import DetectorParams, ResponseMatrix
+from .states import (_SUM_UPPER_SLACK, ParseError, _require_integer,
+                     _require_probabilities, parse_vector)
 
 __all__ = [
     "dumps",
     "write_json",
     "write_distribution",
     "read_distribution",
+    "read_counts",
     "write_matrix",
     "read_matrix",
     "write_plot_table",
@@ -129,6 +132,18 @@ def write_matrix(path, mat: ResponseMatrix) -> None:
     )
 
 
+def _require_numbers(rows) -> None:
+    """Reject a matrix entry that is not a JSON number (a bool, string, null
+    or list), naming the first by its (m, n); one type set over the entries
+    keeps a valid file cheap. Rows not all lists are left to the shape check."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        return
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        m, n, value = next((m, n, v) for m, row in enumerate(rows) for n, v in enumerate(row)
+                           if type(v) not in (int, float))
+        raise ValueError(f"entry {value!r} at (m, n) = ({m}, {n}) is not a JSON number")
+
+
 def read_matrix(path) -> ResponseMatrix:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -136,6 +151,7 @@ def read_matrix(path) -> ResponseMatrix:
         m_max, n_max = (_require_integer(k, payload[k]) for k in ("m_max", "n_max"))
         if min(m_max, n_max) < 0:
             raise ValueError(f"m_max and n_max must be >= 0, got {m_max}, {n_max}")
+        _require_numbers(payload["entries"])
         mat = ResponseMatrix(payload["entries"], params)
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"invalid response-matrix file {path}: {exc}") from exc
@@ -147,11 +163,14 @@ def read_matrix(path) -> ResponseMatrix:
     return mat
 
 
-def read_counts(path) -> tuple[CountDistribution, dict]:
+def read_counts(path) -> tuple[np.ndarray, dict]:
+    """Read a count distribution file; returns (values, metadata). Rejects
+    a non-finite or negative entry and total mass above 1 + 1e-12."""
     values, metadata = read_distribution(path)
-    dist = CountDistribution(values)
-    dist.validate()
-    return dist, metadata
+    _require_probabilities(values, "count", "m")
+    if float(values.sum()) > 1.0 + _SUM_UPPER_SLACK:
+        raise ValueError("count probabilities sum to more than 1")
+    return values, metadata
 
 
 def write_plot_table(path, columns: dict) -> None:

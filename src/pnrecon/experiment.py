@@ -26,7 +26,7 @@ from . import distio, states
 from .detector import DetectorParams, build_response, forward, suggest_m_max
 from .inversion import direct_reconstruct
 from .landweber import ConstraintSet, LandweberConfig, solve
-from .metrics import ErrorReport, normalization_defect, relative_error, relative_residual
+from .metrics import normalization_defect, relative_error, relative_residual
 from .sampling import GENERATOR_NAME, SamplingConfig, expected_sampling_error, sample_counts
 from .states import _require_integer, _require_real
 
@@ -279,7 +279,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
             delta_data = 0.0
         else:
             counts_emp = sample_counts(counts_true, config.sampling)
-            delta_data = relative_error(counts_emp.probs, counts_true.probs)
+            delta_data = relative_error(counts_emp, counts_true)
     with _stage("reconstruction"):
         mat_assumed = build_response(config.detector_assumed, n_max, m_max)
         events = config.sampling.events if config.sampling else None
@@ -287,9 +287,11 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
         constraints = constraint_set(config.support, n_max + 1)
         report = solve(mat_assumed, counts_emp, constraints, solver)
     with _stage("metrics"):
-        delta_est = relative_error(report.estimate, photon.probs)
-        delta_res = relative_residual(mat_assumed, report.estimate, counts_emp)
-        defect = normalization_defect(report.estimate)
+        figures = {
+            "relative_error": relative_error(report.estimate, photon.probs),
+            "relative_residual": relative_residual(mat_assumed, report.estimate, counts_emp),
+            "normalization_defect": normalization_defect(report.estimate),
+        }
 
     direct_error = None
     if config.direct_inversion:
@@ -317,7 +319,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
         )
         distio.write_distribution(
             out / "counts_true.json",
-            counts_true.probs,
+            counts_true,
             metadata={
                 "eta": config.detector_true.eta,
                 "n_noise": config.detector_true.n_noise,
@@ -326,7 +328,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
         )
         distio.write_distribution(
             out / "counts_empirical.json",
-            counts_emp.probs,
+            counts_emp,
             metadata={
                 "nu": config.sampling.events if config.sampling else None,
                 "seed": config.sampling.seed if config.sampling else None,
@@ -348,7 +350,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
             {**report.as_dict(), "provenance": provenance},
         )
         error_payload = {
-            **ErrorReport(delta_est, delta_res, defect).as_dict(),
+            **figures,
             "sampling_relative_error": delta_data,
             "noise_level": solver.noise_level,
             "provenance": provenance,
@@ -361,7 +363,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
             {
                 "p_true": photon.probs,
                 "p_reconstructed": report.estimate,
-                "P_simulated": counts_emp.probs,
+                "P_simulated": counts_emp,
             },
         )
 
@@ -373,9 +375,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
         "iterations_run": report.iterations_run,
         "stop_reason": report.stop_reason,
         "sampling_relative_error": delta_data,
-        "relative_error": delta_est,
-        "relative_residual": delta_res,
-        "normalization_defect": defect,
+        **figures,
     }
     if direct_error is not None:
         summary["direct_relative_error"] = direct_error

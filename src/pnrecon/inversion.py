@@ -15,21 +15,20 @@ naming the offending index instead of saturating silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import CountDistribution, DetectorParams
+from .detector import DetectorParams
 from .special import MAX_LOG, log_factorial_table, log_kummer
 from .states import _require_probabilities
 
 __all__ = [
-    "InverseMatrix",
     "InversionOverflowError",
     "inverse_entry",
     "build_inverse",
     "direct_reconstruct",
 ]
+
 
 class InversionOverflowError(OverflowError):
     """A term of the inverse series exceeds the floating-point range."""
@@ -40,42 +39,20 @@ class InversionOverflowError(OverflowError):
         self.m = m
 
 
-@dataclass(frozen=True, eq=False)
-class InverseMatrix:
-    """Dense inverse-response matrix in signed-log form.
-
-    Rows are photon numbers n = 0..n_max, columns photocounts m = 0..m_max.
-    """
-
-    log_magnitude: np.ndarray
-    sign: np.ndarray
-    params: DetectorParams
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the entries as plain floats; raises when any entry
-        exceeds the double range."""
-        log_magnitude = np.where(self.sign != 0, self.log_magnitude, -math.inf)
-        _check_range(log_magnitude, "inverse entry")
-        with np.errstate(over="raise"):
-            return self.sign * np.exp(log_magnitude)
-
-
-def _check_range(log_values: np.ndarray, what: str) -> None:
-    """Raise InversionOverflowError naming the (n, m) of the largest of
-    ``log_values`` (dead entries -inf) if it is beyond the double range."""
+def _check_range(log_values: np.ndarray) -> None:
+    """Raise InversionOverflowError naming the (n, m) of the largest series
+    term in ``log_values`` (dead terms -inf) if it is beyond double range."""
     n, m = np.unravel_index(np.argmax(log_values), log_values.shape)
     if log_values[n, m] > MAX_LOG:
         raise InversionOverflowError(
-            f"{what} at n={n}, m={m} has log magnitude "
+            f"series term at n={n}, m={m} has log magnitude "
             f"{log_values[n, m]:.6g}, beyond double range",
             int(n),
             int(m),
         )
 
 
-def _log_inverse_m_le_n(
-    params: DetectorParams, n: int, m: int
-) -> tuple[float, int]:
+def _log_inverse_m_le_n(params: DetectorParams, n: int, m: int) -> tuple[float, int]:
     """(log magnitude, sign) of Sinv[n|m] on the m <= n branch."""
     noise = params.n_noise
     if noise == 0.0 and n > m:
@@ -93,9 +70,7 @@ def _log_inverse_m_le_n(
     return log_mag, (-1) ** (n - m)
 
 
-def _log_inverse_m_ge_n(
-    params: DetectorParams, n: int, m: int
-) -> tuple[float, int]:
+def _log_inverse_m_ge_n(params: DetectorParams, n: int, m: int) -> tuple[float, int]:
     """(log magnitude, sign) of Sinv[n|m] on the m >= n branch."""
     if params.eta == 1.0 and m > n:
         return -math.inf, 0
@@ -114,9 +89,7 @@ def _log_inverse_m_ge_n(
     return log_mag, (-1) ** (m - n)
 
 
-def inverse_entry(
-    params: DetectorParams, n: int, m: int
-) -> tuple[float, int]:
+def inverse_entry(params: DetectorParams, n: int, m: int) -> tuple[float, int]:
     """(log magnitude, sign) of the entry Sinv[n|m] of the analytic
     inverse; a dead entry is (-inf, 0)."""
     if n < 0 or m < 0:
@@ -128,8 +101,10 @@ def inverse_entry(
 
 def build_inverse(
     params: DetectorParams, n_max: int, m_max: int
-) -> InverseMatrix:
-    """Materialize Sinv on the given window in signed-log form.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Materialize Sinv on the given window in signed-log form: the pair
+    (log magnitude, int8 sign) of arrays, rows n = 0..n_max and columns
+    m = 0..m_max, a dead entry being (-inf, 0).
 
     Matches :func:`inverse_entry` entry by entry; the Kummer factors for
     the whole window share the argument y, so the series is run once over
@@ -167,12 +142,10 @@ def build_inverse(
     log_mag = log_mag + np.where(lower, log_lower, log_upper)
     dead = np.isneginf(log_mag)
     sign = np.where(dead, 0, sign).astype(np.int8)
-    return InverseMatrix(log_mag, sign, params)
+    return log_mag, sign
 
 
-def direct_reconstruct(
-    params: DetectorParams, counts: CountDistribution, n_max: int
-) -> np.ndarray:
+def direct_reconstruct(params: DetectorParams, counts, n_max: int) -> np.ndarray:
     """Invert the forward map through the analytic series:
 
         p[n] = sum_m Sinv[n|m] counts[m]
@@ -184,13 +157,11 @@ def direct_reconstruct(
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    probs = np.asarray(counts.probs, dtype=float)
+    probs = np.asarray(counts, dtype=float)
     _require_probabilities(probs, "count", "m")
-    inv = build_inverse(params, n_max, probs.size - 1)
+    log_magnitude, sign = build_inverse(params, n_max, probs.size - 1)
     with np.errstate(divide="ignore"):
-        log_counts = np.where(probs > 0, np.log(probs), -math.inf)
-    log_terms = inv.log_magnitude + log_counts[None, :]
-    log_terms = np.where(inv.sign != 0, log_terms, -math.inf)
-    _check_range(log_terms, "series term")
-    terms = inv.sign * np.exp(log_terms)
+        log_terms = log_magnitude + np.log(probs)[None, :]
+    _check_range(log_terms)
+    terms = sign * np.exp(log_terms)
     return np.array([math.fsum(row) for row in terms])

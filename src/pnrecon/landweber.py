@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import CountDistribution, ResponseMatrix, zero_pad
+from .detector import ResponseMatrix, zero_pad
 from .states import _require_integer, _require_real
 
 __all__ = [
@@ -188,7 +188,7 @@ def _flush(residuals, masses, sq, ring, n):
 
 def solve(
     mat: ResponseMatrix,
-    counts: CountDistribution,
+    counts,
     constraints: ConstraintSet = ConstraintSet(None),
     config: LandweberConfig = LandweberConfig(),
 ) -> SolveReport:
@@ -203,7 +203,7 @@ def solve(
     """
     matrix = mat.entries
     rows, cols = matrix.shape
-    data = zero_pad(counts.probs, rows, "count vector", "matrix rows")
+    data = zero_pad(counts, rows, "count vector", "matrix rows")
     mask = constraints.support_mask
     if mask is not None and mask.size != cols:
         raise ValueError(

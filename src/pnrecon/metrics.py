@@ -7,32 +7,15 @@ common length, never truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .detector import CountDistribution, ResponseMatrix, zero_pad
+from .detector import ResponseMatrix, zero_pad
 
 __all__ = [
-    "ErrorReport",
     "relative_error",
     "relative_residual",
     "normalization_defect",
 ]
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    relative_error: float
-    relative_residual: float
-    normalization_defect: float
-
-    def as_dict(self) -> dict:
-        return {
-            "relative_error": self.relative_error,
-            "relative_residual": self.relative_residual,
-            "normalization_defect": self.normalization_defect,
-        }
 
 
 def relative_error(estimate, truth) -> float:
@@ -46,12 +29,10 @@ def relative_error(estimate, truth) -> float:
     return float(np.linalg.norm(est - ref)) / norm
 
 
-def relative_residual(
-    mat: ResponseMatrix, estimate, measured: CountDistribution
-) -> float:
+def relative_residual(mat: ResponseMatrix, estimate, measured) -> float:
     """||S @ estimate - measured|| / ||measured|| in the Euclidean norm."""
     est = zero_pad(estimate, mat.n_max + 1, "estimate", "matrix columns")
-    data = zero_pad(measured.probs, mat.m_max + 1, "measured vector", "matrix rows")
+    data = zero_pad(measured, mat.m_max + 1, "measured vector", "matrix rows")
     norm = float(np.linalg.norm(data))
     if norm == 0.0:
         raise ValueError("measured vector has zero norm")

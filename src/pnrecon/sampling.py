@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import CountDistribution
 from .states import _require_integer, _require_probabilities
 
 __all__ = [
@@ -57,16 +56,14 @@ def _uniform_stream(seed: int, count: int) -> Iterator[np.ndarray]:
         yield (raw >> np.uint64(11)) * 2.0**-53
 
 
-def sample_counts(
-    true_dist: CountDistribution, config: SamplingConfig
-) -> CountDistribution:
+def sample_counts(true_dist, config: SamplingConfig) -> np.ndarray:
     """Simulate empirical photocount frequencies.
 
-    Draws ``config.events`` i.i.d. samples from the given distribution
-    (renormalized over its window) and returns the frequencies counts/nu.
-    Identical inputs and seed give bit-identical output.
+    Draws ``config.events`` i.i.d. samples from the given count vector
+    (renormalized over its window) and returns the frequencies counts/nu
+    as a float vector. Identical inputs and seed give bit-identical output.
     """
-    probs = np.asarray(true_dist.probs, dtype=float)
+    probs = np.asarray(true_dist, dtype=float)
     _require_probabilities(probs, "count", "m")
     total = float(probs.sum())
     if total <= 0.0:
@@ -77,11 +74,11 @@ def sample_counts(
     for uniforms in _uniform_stream(config.seed, config.events):
         draws = np.searchsorted(cdf, uniforms, side="right")
         counts += np.bincount(draws, minlength=probs.size)
-    return CountDistribution(counts / config.events)
+    return counts / config.events
 
 
-def expected_sampling_error(dist: CountDistribution, events: int) -> float:
+def expected_sampling_error(dist, events: int) -> float:
     """Expected Euclidean error of empirical frequencies from ``events``
-    i.i.d. draws: sqrt((1 - sum p^2) / nu)."""
-    probs = np.asarray(dist.probs, dtype=float)
+    i.i.d. draws from the count vector ``dist``: sqrt((1 - sum p^2) / nu)."""
+    probs = np.asarray(dist, dtype=float)
     return float(np.sqrt(max(0.0, 1.0 - float(probs @ probs)) / events))

@@ -21,6 +21,7 @@ __all__ = [
     "even_cat",
     "fock",
     "from_file",
+    "parse_vector",
     "DistributionFileError",
     "ParseError",
     "NegativeProbabilityError",
@@ -208,14 +209,12 @@ def parse_vector(text: str) -> tuple[np.ndarray, dict]:
     import json
 
     stripped = text.strip()
-    if not stripped:
-        raise ParseError("empty distribution file")
-    if stripped[0] in "[{":
+    metadata = {}
+    if stripped[:1] in ("[", "{"):
         try:
             payload = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
-        metadata = {}
         if isinstance(payload, dict):
             if "probs" not in payload:
                 raise ParseError('JSON object lacks a "probs" array')
@@ -226,30 +225,33 @@ def parse_vector(text: str) -> tuple[np.ndarray, dict]:
             for v in payload
         ):
             raise ParseError("JSON payload is not an array of reals")
-        if not payload:
-            raise ParseError("empty distribution file")
-        return np.array(payload, dtype=float), metadata
-    tokens = stripped.replace(",", " ").split()
-    try:
-        return np.array([float(t) for t in tokens]), {}
-    except ValueError as exc:
-        raise ParseError(f"invalid numeric token: {exc}") from exc
+        values = np.array(payload, dtype=float)
+    else:
+        try:
+            values = np.array([float(t) for t in stripped.replace(",", " ").split()])
+        except ValueError as exc:
+            raise ParseError(f"invalid numeric token: {exc}") from exc
+    if not values.size:
+        raise ParseError("empty distribution file")
+    return values, metadata
 
 
 def from_file(path) -> PhotonDistribution:
     """Load and validate a photon-number distribution from a file.
 
-    Rejects non-finite and negative entries and total mass departing from
-    1 by more than 1e-6. Never renormalizes: a normalization defect
-    signals an upstream mistake the caller has to see.
+    Rejects non-finite and negative entries, a mass deficit of more than
+    1e-6 and any mass above 1 + 1e-12, the bound every PhotonDistribution
+    keeps. Never renormalizes: a normalization defect signals an upstream
+    mistake the caller has to see; an accepted deficit becomes the
+    truncation tail.
     """
     with open(path, encoding="utf-8") as handle:
         values, _ = parse_vector(handle.read())
     _require_probabilities(values, "photon", "n")
     total = float(values.sum())
-    if abs(total - 1.0) > _FILE_SUM_TOL:
+    if 1.0 - total > _FILE_SUM_TOL or total > 1.0 + _SUM_UPPER_SLACK:
         raise SumDeviationError(
-            f"probabilities sum to {total!r}, deviating from 1 by more "
-            f"than {_FILE_SUM_TOL}"
+            f"probabilities sum to {total!r}, outside "
+            f"[1 - {_FILE_SUM_TOL}, 1 + {_SUM_UPPER_SLACK}]"
         )
     return PhotonDistribution(values, max(0.0, 1.0 - total))

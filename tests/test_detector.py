@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pnrecon.detector import (
     _SUGGEST_HARD_MARGIN,
-    CountDistribution,
     DetectorParams,
     ResponseMatrix,
     _log_entry_m_ge_n,
@@ -22,7 +21,6 @@ from pnrecon.detector import (
 )
 from pnrecon import distio
 from pnrecon.experiment import build_state, bundled_config_names, load_config
-from pnrecon.inversion import build_inverse
 from pnrecon.landweber import ConstraintSet, LandweberConfig, SolveReport
 from pnrecon.states import PhotonDistribution, fock, thermal
 
@@ -362,7 +360,7 @@ class TestThinningBuild:
         distio.write_matrix(tmp_path / "S.json", built)
         read = distio.read_matrix(tmp_path / "S.json")
         assert np.array_equal(read.entries, built.entries)
-        assert forward(read, photon).probs.tobytes() == forward(built, photon).probs.tobytes()
+        assert forward(read, photon).tobytes() == forward(built, photon).tobytes()
 
     @given(
         eta=st.floats(0.05, 1.0),
@@ -389,7 +387,7 @@ class TestForward:
         dist = thermal(2.0, 1e-6)
         short = fock(3)
         out = forward(mat, short)
-        assert out.probs.tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+        assert out.tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0]
 
     def test_thermal_mean_transforms_affinely(self):
         dist = thermal(30, 1e-10)
@@ -397,7 +395,7 @@ class TestForward:
         m_max = suggest_m_max(params, dist.n_max, 1e-10)
         mat = build_response(params, dist.n_max, m_max)
         counts = forward(mat, dist)
-        mean = math.fsum(m * p for m, p in enumerate(counts.probs))
+        mean = math.fsum(m * p for m, p in enumerate(counts))
         assert mean == pytest.approx(0.34 * 30 + 0.30, rel=1e-3)
 
     def test_vacuum_gives_poisson_noise(self):
@@ -407,7 +405,7 @@ class TestForward:
         expected = np.array(
             [math.exp(-1.0) / math.factorial(m) for m in range(31)]
         )
-        assert np.allclose(counts.probs, expected, rtol=1e-12, atol=0)
+        assert np.allclose(counts, expected, rtol=1e-12, atol=0)
 
     def test_mass_preserved_up_to_truncation(self):
         dist = thermal(8, 1e-8)
@@ -415,7 +413,7 @@ class TestForward:
         m_max = suggest_m_max(params, dist.n_max, 1e-10)
         mat = build_response(params, dist.n_max, m_max)
         counts = forward(mat, dist)
-        gap = abs(float(counts.probs.sum()) - float(dist.probs.sum()))
+        gap = abs(float(counts.sum()) - float(dist.probs.sum()))
         assert gap <= mat.col_tail.max() + 1e-12
 
     def test_dimension_mismatch(self):
@@ -593,9 +591,7 @@ def array_holding_records():
     params = DetectorParams(0.5, 0.1)
     makers = [
         lambda: build_response(params, 3, 4),
-        lambda: CountDistribution(np.full(4, 0.25)),
         lambda: PhotonDistribution(np.full(4, 0.25)),
-        lambda: build_inverse(params, 3, 3),
         lambda: SolveReport(np.ones(3), 1, np.ones(1), np.ones(1), "discrepancy", 0.5),
     ]
     return [(make(), make()) for make in makers]
@@ -603,8 +599,7 @@ def array_holding_records():
 
 @pytest.mark.parametrize(
     "a, b", array_holding_records(),
-    ids=["ResponseMatrix", "CountDistribution", "PhotonDistribution", "InverseMatrix",
-         "SolveReport"],
+    ids=["ResponseMatrix", "PhotonDistribution", "SolveReport"],
 )
 def test_array_holding_records_compare_by_identity(a, b):
     assert a == a and a != b and not (a == b)
@@ -617,21 +612,6 @@ def test_array_free_records_keep_value_equality():
     assert len({DetectorParams(0.5, 0.1), DetectorParams(0.5, 0.1)}) == 1
     assert LandweberConfig(chi=0.5) == LandweberConfig(chi=0.5)
     assert ConstraintSet.nonnegative() == ConstraintSet.nonnegative()
-
-
-class TestCountDistribution:
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            CountDistribution(np.array([0.5, -0.1])).validate()
-
-    def test_oversized_mass_rejected(self):
-        with pytest.raises(ValueError):
-            CountDistribution(np.array([0.9, 0.2])).validate()
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, value):
-        with pytest.raises(ValueError, match=r"finite, got .* at m=1"):
-            CountDistribution(np.array([0.5, value, 0.1])).validate()
 
 
 def test_single_cell_window():

@@ -219,6 +219,40 @@ class TestDistributionFiles:
             distio.write_distribution(tmp_path / "d", np.ones(1), fmt="xml")
 
 
+class TestCountFiles:
+    def test_values_and_metadata_returned(self, tmp_path):
+        path = tmp_path / "P.json"
+        distio.write_distribution(path, [0.25, 0.5, 0.25], metadata={"nu": 4})
+        values, metadata = distio.read_counts(path)
+        assert isinstance(values, np.ndarray) and values.tolist() == [0.25, 0.5, 0.25]
+        assert metadata == {"nu": 4}
+
+    def test_negative_rejected(self, tmp_path):
+        path = tmp_path / "P.csv"
+        path.write_text("0.5\n-0.1\n")
+        with pytest.raises(ValueError, match=r"negative probability -0.1 at index 1"):
+            distio.read_counts(path)
+
+    def test_oversized_mass_rejected(self, tmp_path):
+        path = tmp_path / "P.csv"
+        path.write_text("0.9\n0.2\n")
+        with pytest.raises(ValueError, match="sum to more than 1"):
+            distio.read_counts(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, token):
+        path = tmp_path / "P.csv"
+        path.write_text(f"0.5\n{token}\n0.1\n")
+        with pytest.raises(ValueError, match=r"finite, got .* at m=1"):
+            distio.read_counts(path)
+
+    def test_empty_text_vector_rejected(self, tmp_path):
+        path = tmp_path / "P.csv"
+        path.write_text(" , \n")
+        with pytest.raises(ParseError, match="empty distribution file"):
+            distio.read_counts(path)
+
+
 class TestMatrixFiles:
     def test_round_trip_exact(self, tmp_path):
         mat = build_response(DetectorParams(0.613749, 1.763442), 7, 9)
@@ -257,6 +291,22 @@ class TestMatrixFiles:
             f' "entries": [[1.0, 0.5, 0.25], [0.0, 0.5, {token}]]}}'
         )
         with pytest.raises(ParseError, match=r"at \(m, n\) = \(1, 2\)"):
+            distio.read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "entries,bad",
+        [("[[true, false], [false, true]]", r"entry True at \(m, n\) = \(0, 0\)"),
+         ('[[0.5, 0.1], [0.5, "0.9"]]', r"entry '0.9' at \(m, n\) = \(1, 1\)"),
+         ("[[0.5, 0.1], [null, 0.9]]", r"entry None at \(m, n\) = \(1, 0\)")],
+        ids=["bool", "string", "null"],
+    )
+    def test_entry_that_is_not_a_number_rejected(self, tmp_path, entries, bad):
+        path = tmp_path / "S.json"
+        path.write_text(
+            '{"eta": 0.5, "n_noise": 0.0, "n_max": 1, "m_max": 1,'
+            f' "entries": {entries}}}'
+        )
+        with pytest.raises(ParseError, match=bad + " is not a JSON number"):
             distio.read_matrix(path)
 
     def test_garbage_rejected(self, tmp_path):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pnrecon.detector import (
-    CountDistribution,
     DetectorParams,
     ResponseMatrix,
     build_response,
@@ -106,7 +105,7 @@ def per_step_reference(mat, counts, constraints, config):
     buffers swapped, kept as a bitwise reference for the ring of iterates."""
     matrix = mat.entries
     rows, cols = matrix.shape
-    data = detector.zero_pad(counts.probs, rows, "count vector", "matrix rows")
+    data = detector.zero_pad(counts, rows, "count vector", "matrix rows")
     mask = constraints.support_mask
     top = mat.sigma_max_sq
     chi = 1.0 / top if config.chi is None else config.chi
@@ -345,7 +344,7 @@ class TestAutoChi:
         with pytest.raises(ValueError, match=message):
             mat.sigma_max_sq
         with pytest.raises(ValueError, match=message):
-            solve(mat, CountDistribution(np.full(4, 0.25)),
+            solve(mat, np.full(4, 0.25),
                   config=LandweberConfig(chi=chi))
 
 
@@ -427,7 +426,7 @@ def random_problem(seed, masked):
     data = entries @ rng.uniform(0.0, 1.0, size=15)
     data += rng.normal(0.0, 0.05 * data.std(), size=20)
     mask = rng.uniform(size=15) < 0.6 if masked else None
-    return plain_matrix(entries), CountDistribution(data), ConstraintSet(mask)
+    return plain_matrix(entries), data, ConstraintSet(mask)
 
 
 class TestRingOfIterates:
@@ -506,20 +505,20 @@ class TestRingOfIterates:
 class TestSolve:
     def test_identity_fixed_point(self):
         mat = plain_matrix(np.eye(4))
-        counts = CountDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
+        counts = np.array([0.1, 0.2, 0.3, 0.4])
         report = solve(
             mat,
             counts,
             ConstraintSet.nonnegative(),
             LandweberConfig(chi=1.0),
         )
-        assert np.array_equal(report.estimate, counts.probs)
+        assert np.array_equal(report.estimate, counts)
         assert report.iterations_run <= 2
         assert report.stop_reason == "stagnation"
 
     def test_histories_cover_every_iteration(self):
         mat = plain_matrix(np.eye(3))
-        counts = CountDistribution(np.array([0.5, 0.25, 0.25]))
+        counts = np.array([0.5, 0.25, 0.25])
         for config, reason in [
             (
                 LandweberConfig(chi=0.5, max_iterations=7, stagnation_tol=0.0),
@@ -550,7 +549,7 @@ class TestSolve:
         initial = rng.normal(size=shape[1]) if warm else None
         report = solve(
             plain_matrix(entries),
-            CountDistribution(data),
+            data,
             constraints,
             LandweberConfig(
                 max_iterations=500, stagnation_tol=0.0, initial=initial
@@ -572,14 +571,14 @@ class TestSolve:
         constraints = ConstraintSet.even_support(9)
         full = solve(
             mat,
-            CountDistribution(data),
+            data,
             constraints,
             LandweberConfig(max_iterations=25, stagnation_tol=0.0),
         )
         for j in range(25):
             p_j = solve(
                 mat,
-                CountDistribution(data),
+                data,
                 constraints,
                 LandweberConfig(max_iterations=j + 1, stagnation_tol=0.0),
             ).estimate
@@ -609,7 +608,7 @@ class TestSolve:
             initial=rng.normal(size=shape[1]) if warm else None,
         )
         mat = plain_matrix(entries)
-        report = solve(mat, CountDistribution(data), ConstraintSet(mask), config)
+        report = solve(mat, data, ConstraintSet(mask), config)
         assert report.chi == 1.0 / mat.sigma_max_sq  # from all columns, not the support
         estimate, residuals, iterations, reason = pinned_reference(
             entries, data, report.chi, mask, config
@@ -630,7 +629,7 @@ class TestSolve:
         for start in (None, initial):
             report = solve(
                 plain_matrix(entries),
-                CountDistribution(rng.uniform(size=10)),
+                rng.uniform(size=10),
                 ConstraintSet(mask),
                 LandweberConfig(max_iterations=30, initial=start),
             )
@@ -641,7 +640,7 @@ class TestSolve:
         data = np.array([0.5, 0.3, 0.2])
         report = solve(
             plain_matrix(np.eye(3)),
-            CountDistribution(data),
+            data,
             ConstraintSet(np.zeros(3, dtype=bool)),
             LandweberConfig(max_iterations=4, stagnation_tol=0.0),
         )
@@ -734,7 +733,7 @@ class TestSolve:
         mat = plain_matrix(entries)
         truth = rng.uniform(0.5, 1.0, size=8)
         truth /= truth.sum()
-        counts = CountDistribution(entries @ truth)
+        counts = entries @ truth
         report = solve(
             mat,
             counts,
@@ -823,7 +822,7 @@ class TestSolve:
 
     def test_chi_bound_violation_rejected(self):
         mat = plain_matrix(np.eye(3))
-        counts = CountDistribution(np.array([0.5, 0.3, 0.2]))
+        counts = np.array([0.5, 0.3, 0.2])
         with pytest.raises(RelaxationBoundError):
             solve(
                 mat,
@@ -873,7 +872,7 @@ class TestSolve:
         with pytest.raises(ValueError, match="initial vector of length 5"):
             solve(
                 plain_matrix(np.eye(4)),
-                CountDistribution(np.full(4, 0.25)),
+                np.full(4, 0.25),
                 ConstraintSet.even_support(4),
                 LandweberConfig(initial=np.ones(5)),
             )
@@ -890,10 +889,10 @@ class TestSolve:
     def test_dimension_checks(self):
         mat = plain_matrix(np.eye(3))
         with pytest.raises(ValueError):
-            solve(mat, CountDistribution(np.ones(5) / 5))
+            solve(mat, np.ones(5) / 5)
         with pytest.raises(ValueError):
             solve(
                 mat,
-                CountDistribution(np.ones(3) / 3),
+                np.ones(3) / 3,
                 ConstraintSet(np.array([True])),
             )

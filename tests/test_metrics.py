@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from pnrecon.detector import (
-    CountDistribution,
     DetectorParams,
     build_response,
     forward,
     suggest_m_max,
 )
 from pnrecon.metrics import (
-    ErrorReport,
     normalization_defect,
     relative_error,
     relative_residual,
@@ -76,7 +74,7 @@ class TestRelativeResidual:
 
     def test_zero_norm_measurement_rejected(self):
         _, mat, _ = self._setup()
-        zero = CountDistribution(np.zeros(mat.m_max + 1))
+        zero = np.zeros(mat.m_max + 1)
         with pytest.raises(ValueError):
             relative_residual(mat, np.ones(mat.n_max + 1), zero)
 
@@ -84,12 +82,3 @@ class TestRelativeResidual:
 def test_normalization_defect():
     assert normalization_defect([0.5, 0.5]) == 0.0
     assert normalization_defect([0.5, 0.3]) == pytest.approx(-0.2)
-
-
-def test_error_report_round_trip():
-    report = ErrorReport(0.05, 0.019, -0.001)
-    assert report.as_dict() == {
-        "relative_error": 0.05,
-        "relative_residual": 0.019,
-        "normalization_defect": -0.001,
-    }

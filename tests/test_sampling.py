@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pnrecon.detector import (
-    CountDistribution,
     DetectorParams,
     build_response,
     forward,
@@ -44,9 +43,9 @@ def test_raw_stream_reference_vector():
 
 
 def test_frozen_empirical_frequencies():
-    dist = CountDistribution(np.array([0.25, 0.5, 0.25]))
+    dist = np.array([0.25, 0.5, 0.25])
     got = sample_counts(dist, SamplingConfig(events=8, seed=0))
-    assert got.probs.tolist() == [0.25, 0.5, 0.25]
+    assert got.tolist() == [0.25, 0.5, 0.25]
 
 
 class TestSamplingConfig:
@@ -71,35 +70,35 @@ class TestSamplingConfig:
     def test_numpy_integers_accepted(self):
         config = SamplingConfig(events=np.int64(10), seed=np.uint64(3))
         assert sample_counts(
-            CountDistribution(np.array([0.5, 0.5])), config
-        ).probs.sum() == pytest.approx(1.0)
+            np.array([0.5, 0.5]), config
+        ).sum() == pytest.approx(1.0)
 
 
 class TestSampleCounts:
     def test_degenerate_distribution_is_exact(self):
-        dist = CountDistribution(np.array([1.0, 0.0, 0.0]))
+        dist = np.array([1.0, 0.0, 0.0])
         got = sample_counts(dist, SamplingConfig(events=977, seed=5))
-        assert got.probs.tolist() == [1.0, 0.0, 0.0]
+        assert got.tolist() == [1.0, 0.0, 0.0]
 
     def test_reproducible(self):
-        dist = CountDistribution(np.array([0.25, 0.5, 0.25]))
+        dist = np.array([0.25, 0.5, 0.25])
         a = sample_counts(dist, SamplingConfig(events=4000, seed=99))
         b = sample_counts(dist, SamplingConfig(events=4000, seed=99))
-        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        dist = CountDistribution(np.array([0.25, 0.5, 0.25]))
+        dist = np.array([0.25, 0.5, 0.25])
         a = sample_counts(dist, SamplingConfig(events=4000, seed=1))
         b = sample_counts(dist, SamplingConfig(events=4000, seed=2))
-        assert not np.array_equal(a.probs, b.probs)
+        assert not np.array_equal(a, b)
 
     def test_frequencies_are_multiples_of_inverse_events(self):
-        dist = CountDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
+        dist = np.array([0.1, 0.2, 0.3, 0.4])
         events = 1234
         got = sample_counts(dist, SamplingConfig(events=events, seed=3))
-        counts = np.rint(got.probs * events).astype(int)
+        counts = np.rint(got * events).astype(int)
         assert counts.sum() == events
-        assert np.array_equal(got.probs, counts / events)
+        assert np.array_equal(got, counts / events)
 
     def test_law_of_large_numbers(self):
         dist = thermal(6, 1e-8)
@@ -108,9 +107,9 @@ class TestSampleCounts:
         exact = forward(build_response(params, dist.n_max, m_max), dist)
         events = 10_000_000
         got = sample_counts(exact, SamplingConfig(events=events, seed=17))
-        delta = relative_error(got.probs, exact.probs)
+        delta = relative_error(got, exact)
         bound = 3.0 * expected_sampling_error(exact, events) / float(
-            np.linalg.norm(exact.probs)
+            np.linalg.norm(exact)
         )
         assert delta <= bound
 
@@ -125,8 +124,8 @@ class TestSampleCounts:
                 relative_error(
                     sample_counts(
                         exact, SamplingConfig(events=events, seed=seed)
-                    ).probs,
-                    exact.probs,
+                    ),
+                    exact,
                 )
                 for seed in range(100, 120)
             ]
@@ -140,25 +139,25 @@ class TestSampleCounts:
         m_max = suggest_m_max(params, dist.n_max, 1e-8)
         exact = forward(build_response(params, dist.n_max, m_max), dist)
         got = sample_counts(exact, SamplingConfig(events=50_000, seed=1))
-        delta = relative_error(got.probs, exact.probs)
+        delta = relative_error(got, exact)
         assert 0.015 <= delta <= 0.045
 
     def test_negative_entries_rejected(self):
         for bad in (-0.1, np.nan, np.inf):  # NaN used to become a full bin
-            dist = CountDistribution(np.array([0.5, bad, 0.6]))
+            dist = np.array([0.5, bad, 0.6])
             with pytest.raises(ValueError):
                 sample_counts(dist, SamplingConfig(events=10, seed=0))
 
     def test_zero_mass_rejected(self):
-        dist = CountDistribution(np.zeros(4))
+        dist = np.zeros(4)
         with pytest.raises(ValueError):
             sample_counts(dist, SamplingConfig(events=10, seed=0))
 
     def test_renormalizes_over_window(self):
-        dist = CountDistribution(np.array([0.45, 0.45]))  # mass 0.9
+        dist = np.array([0.45, 0.45])  # mass 0.9
         got = sample_counts(dist, SamplingConfig(events=100_000, seed=8))
-        assert got.probs.sum() == pytest.approx(1.0)
-        assert got.probs[0] == pytest.approx(0.5, abs=0.01)
+        assert got.sum() == pytest.approx(1.0)
+        assert got[0] == pytest.approx(0.5, abs=0.01)
 
 
 def _one_shot_counts(probs: np.ndarray, events: int, seed: int) -> np.ndarray:
@@ -179,9 +178,9 @@ class TestChunkedStream:
     def test_matches_one_shot_reference(self, events):
         probs = thermal(3.0, 1e-6).probs
         got = sample_counts(
-            CountDistribution(probs), SamplingConfig(events=events, seed=19)
+            probs, SamplingConfig(events=events, seed=19)
         )
-        assert np.array_equal(got.probs, _one_shot_counts(probs, events, 19))
+        assert np.array_equal(got, _one_shot_counts(probs, events, 19))
 
     def test_chunks_concatenate_to_the_one_shot_stream(self):
         from pnrecon.sampling import _uniform_stream
@@ -196,7 +195,7 @@ class TestChunkedStream:
 
     def test_memory_does_not_grow_with_events(self):
         # one-shot sampling of 2e6 events holds about 48 MB at once
-        dist = CountDistribution(thermal(3.0, 1e-6).probs)
+        dist = thermal(3.0, 1e-6).probs
         tracemalloc.start()
         try:
             sample_counts(dist, SamplingConfig(events=2_000_000, seed=1))
@@ -209,9 +208,8 @@ class TestChunkedStream:
 class TestExpectedSamplingError:
     def test_matches_multinomial_variance_formula(self):
         probs = np.array([0.5, 0.25, 0.25])
-        dist = CountDistribution(probs)
         expected = np.sqrt((1.0 - float(probs @ probs)) / 800.0)
-        assert expected_sampling_error(dist, 800) == pytest.approx(expected)
+        assert expected_sampling_error(probs, 800) == pytest.approx(expected)
 
     def test_empirically_calibrated(self):
         dist = thermal(4, 1e-8)
@@ -224,8 +222,8 @@ class TestExpectedSamplingError:
                 np.linalg.norm(
                     sample_counts(
                         exact, SamplingConfig(events=events, seed=seed)
-                    ).probs
-                    - exact.probs / exact.probs.sum()
+                    )
+                    - exact / exact.sum()
                 )
             )
             for seed in range(40)

@@ -179,9 +179,19 @@ class TestFromFile:
 
     def test_no_silent_renormalization(self, tmp_path):
         path = tmp_path / "d.txt"
-        path.write_text("0.5000001, 0.5")
+        path.write_text("0.4999999, 0.5")
         dist = from_file(path)
-        assert dist.probs[0] == 0.5000001
+        assert dist.probs.tolist() == [0.4999999, 0.5]
+        assert dist.truncation_tail == 1.0 - dist.probs.sum()
+        dist.validate()
+
+    @pytest.mark.parametrize("text", ["0.5000001, 0.5", "0.5, 0.5000005"])
+    def test_mass_excess_rejected(self, tmp_path, text):
+        # a PhotonDistribution holds at most 1 + 1e-12 of mass
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        with pytest.raises(SumDeviationError, match=r"outside \[1 - 1e-06, 1 \+ 1e-12\]"):
+            from_file(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "d.txt"
