@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import log_factorial_table, log_laguerre_nonpos
-from .states import PhotonDistribution, _check_tail, _require_real
+from .states import PhotonDistribution, _check_tail, _require_real, _require_vector
 
 __all__ = [
     "DetectorParams",
@@ -234,8 +234,9 @@ def build_response(
 
 def zero_pad(values, size: int, name: str, limit: str) -> np.ndarray:
     """``values`` as a float vector zero-padded to ``size``; a longer
-    vector raises ValueError naming it (``name``) and the ``limit``."""
-    values = np.asarray(values, dtype=float)
+    vector raises ValueError naming it (``name``) and the ``limit``, and
+    anything but a 1-d vector ValueError naming its shape."""
+    values = _require_vector(values, name)
     if values.size > size:
         raise ValueError(
             f"{name} of length {values.size} exceeds {limit} {size}"

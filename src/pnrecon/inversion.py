@@ -20,7 +20,7 @@ import numpy as np
 
 from .detector import DetectorParams
 from .special import MAX_LOG, log_factorial_table, log_kummer
-from .states import _require_probabilities
+from .states import _require_probabilities, _require_vector
 
 __all__ = [
     "InversionOverflowError",
@@ -157,7 +157,7 @@ def direct_reconstruct(params: DetectorParams, counts, n_max: int) -> np.ndarray
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    probs = np.asarray(counts, dtype=float)
+    probs = _require_vector(counts, "count vector")
     _require_probabilities(probs, "count", "m")
     log_magnitude, sign = build_inverse(params, n_max, probs.size - 1)
     with np.errstate(divide="ignore"):

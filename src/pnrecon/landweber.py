@@ -21,6 +21,17 @@ and the report holds the histories without a copy. The iteration count
 regularizes: on noisy data the iterates first approach and then drift away
 from the truth, so the solver stops at the noise level (discrepancy
 principle) given a noise estimate.
+
+Exact data (noise_level == 0) have nothing to regularize, and on an
+ill-conditioned window the loop only creeps towards the constrained
+least-squares minimizer (the 64 x 31 cat support, condition number 4.7e8,
+stalls at 3.9e-3 after 2e5 steps). So when the support operator is tall with
+full column rank, the solver first takes its least-squares solution with
+the rounding-level negatives set to +0.0 (6.6e-9 on that window), and
+returns it with stop_reason "exact", no iterations and empty histories if
+it reproduces the data to 1e-12 relative. Wide or rank-deficient
+operators, data the nonnegative cone cannot reproduce and every noisy
+solve take the loop, unchanged.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ __all__ = [
 ]
 
 _LAP = 32  # ring rows: iterates between two history flushes
+_EXACT_RTOL = 1e-12  # misfit, relative to ||data||, an exact solve must reach
 
 
 class RelaxationBoundError(ValueError):
@@ -141,7 +153,9 @@ class SolveReport:
     an accuracy track since the true distribution sums to one, while the
     projection deliberately does not enforce it). Both histories are
     filled once per lap of the solver's ring of iterates and are views of
-    its history buffers, not copies.
+    its history buffers, not copies. stop_reason is "discrepancy",
+    "stagnation", "max_iterations", or "exact" for the clipped
+    least-squares solve of exact data, with no iterations run.
     """
 
     estimate: np.ndarray
@@ -186,6 +200,49 @@ def _flush(residuals, masses, sq, ring, n):
     masses.frombytes(np.add.reduce(ring[:n], axis=1).tobytes())
 
 
+def _scatter(values, support, cols):
+    """The support entries ``values`` as a new full-length vector (not a
+    view that keeps the ring alive), the pinned entries +0.0."""
+    if support is None:
+        return values.copy()
+    estimate = np.zeros(cols)
+    estimate[support] = values
+    return estimate
+
+
+def _least_squares(a, b):
+    """min ||a x - b|| by SVD, or None if a's rank is short of its column
+    count (by np.linalg.lstsq's default cutoff). One step of iterative
+    refinement brings the misfit down to the rounding of the data: on the
+    cat window 1.4e-15 -> 1.5e-16 relative, 1.5e-8 -> 6.6e-9 error."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if not s[-1] > max(a.shape) * np.finfo(float).eps * s[0]:
+        return None
+    x = vt.T @ ((u.T @ b) / s)
+    return x + vt.T @ ((u.T @ (b - a @ x)) / s)
+
+
+def _exact_solve(matrix, data):
+    """The least-squares solution with its nonpositive entries set to +0.0,
+    if the operator is tall with full column rank and that vector
+    reproduces the data to _EXACT_RTOL * ||data||; otherwise None. With
+    full column rank, data that a nonnegative vector reproduces have that
+    vector as their only least-squares solution, so clipping drops only
+    rounding (on the cat window there is none to drop: the smallest entry
+    is 8.3e-11). A miss costs one least-squares solve."""
+    rows, cols = matrix.shape
+    if not 0 < cols <= rows:
+        return None
+    z = _least_squares(matrix, data)
+    if z is None:
+        return None
+    x = np.where(z > 0.0, z, 0.0)
+    # "not <=", so that a NaN misfit is a miss too
+    if not np.linalg.norm(matrix @ x - data) <= _EXACT_RTOL * np.linalg.norm(data):
+        return None
+    return x
+
+
 def solve(
     mat: ResponseMatrix,
     counts,
@@ -199,7 +256,10 @@ def solve(
     Stops at the first of: (a) ||r_j|| at or below
     discrepancy_tau * noise_level, (b) relative iterate change below
     stagnation_tol, (c) max_iterations. Histories cover every iteration
-    actually run.
+    actually run. With noise_level == 0 on a tall full-rank support whose
+    data a nonnegative vector reproduces to 1e-12 relative, that vector is
+    returned instead (stop_reason "exact"; max_iterations and initial
+    play no part).
     """
     matrix = mat.entries
     rows, cols = matrix.shape
@@ -234,6 +294,16 @@ def solve(
     if support is not None:
         matrix = np.ascontiguousarray(matrix[:, support])
         p = p[support]
+    exact = _exact_solve(matrix, data) if config.noise_level == 0.0 else None
+    if exact is not None:
+        return SolveReport(
+            estimate=_scatter(exact, support, cols),
+            iterations_run=0,
+            residual_history=np.empty(0),
+            normalization_history=np.empty(0),
+            stop_reason="exact",
+            chi=chi,
+        )
     residuals = array("d")
     masses = array("d")
     stop_reason = "max_iterations"
@@ -277,13 +347,8 @@ def solve(
             i = -1
     _flush(residuals, masses, sq, ring, i + 1)
 
-    if support is None:
-        estimate = new.copy()  # not a view that keeps the ring alive
-    else:
-        estimate = np.zeros(cols)
-        estimate[support] = new
     return SolveReport(
-        estimate=estimate,
+        estimate=_scatter(new, support, cols),
         iterations_run=j + 1,
         residual_history=np.frombuffer(residuals),
         normalization_history=np.frombuffer(masses),

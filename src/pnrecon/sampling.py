@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _require_integer, _require_probabilities
+from .states import _require_integer, _require_probabilities, _require_vector
 
 __all__ = [
     "GENERATOR_NAME",
@@ -63,7 +63,7 @@ def sample_counts(true_dist, config: SamplingConfig) -> np.ndarray:
     (renormalized over its window) and returns the frequencies counts/nu
     as a float vector. Identical inputs and seed give bit-identical output.
     """
-    probs = np.asarray(true_dist, dtype=float)
+    probs = _require_vector(true_dist, "count vector")
     _require_probabilities(probs, "count", "m")
     total = float(probs.sum())
     if total <= 0.0:
@@ -80,5 +80,5 @@ def sample_counts(true_dist, config: SamplingConfig) -> np.ndarray:
 def expected_sampling_error(dist, events: int) -> float:
     """Expected Euclidean error of empirical frequencies from ``events``
     i.i.d. draws from the count vector ``dist``: sqrt((1 - sum p^2) / nu)."""
-    probs = np.asarray(dist, dtype=float)
+    probs = _require_vector(dist, "count vector")
     return float(np.sqrt(max(0.0, 1.0 - float(probs @ probs)) / events))

@@ -90,8 +90,8 @@ def log_kummer(a, b, x: float):
 
     Phi(a, b; x) = sum_{i>=0} (a)_i x^i / ((b)_i i!), summed directly; all
     terms are positive on this domain. Terms are added until term/sum <
-    1e-17 everywhere (hard cap 10000 terms); the first term that overflows
-    a double raises OverflowError naming its index.
+    1e-17 everywhere (hard cap 10000 terms); an overflow raises
+    OverflowError naming the first term beyond the double range.
     """
     total = np.ones(np.shape(a))
     term = np.ones(np.shape(a))
@@ -103,7 +103,18 @@ def log_kummer(a, b, x: float):
                 if np.all(term < _KUMMER_REL_TOL * total):
                     break
     except FloatingPointError:
+        # term * (a + i) can overflow while term i + 1 is still a double:
+        # the failed product left term i in place, so go on in log space.
+        # An overflowed partial sum has written inf into total instead, and
+        # term holds term i + 1.
+        n = i + 1
+        if np.all(np.isfinite(total)):
+            n, log_term = i, np.log(term)
+            while np.all(log_term <= MAX_LOG) and n < _KUMMER_MAX_TERMS:
+                log_term = log_term + np.log((a + n) * (x / ((b + n) * (n + 1.0))))
+                n += 1
         raise OverflowError(
-            f"Kummer series Phi(a, b; {x}) overflowed at term {i + 1}"
+            f"Kummer series Phi(a, b; {x}) overflowed at term {n}"
         ) from None
     return np.log(total)
+

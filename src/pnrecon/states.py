@@ -101,6 +101,15 @@ def _require_real(name: str, value) -> float:
     return float(value)
 
 
+def _require_vector(values, name: str) -> np.ndarray:
+    """``values`` as a float array; anything but a 1-d vector raises
+    ValueError naming ``name`` and the shape."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d vector, got shape {values.shape}")
+    return values
+
+
 def _require_probabilities(values: np.ndarray, kind: str, index: str) -> None:
     """Reject non-finite probabilities (naming the first, at ``index``=i)
     and negative ones (naming the most negative); ``kind`` is "photon" or

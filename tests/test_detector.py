@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -420,6 +421,16 @@ class TestForward:
         mat = build_response(DetectorParams(0.9, 0.0), 3, 3)
         with pytest.raises(ValueError):
             forward(mat, fock(7))
+
+    @pytest.mark.parametrize(
+        "bad", [np.full((2, 2), 0.25), np.float64(0.5)], ids=["2x2", "0-d"]
+    )
+    def test_photon_vector_must_be_1d(self, bad):
+        # unchecked, both reached matmul and failed there
+        mat = build_response(DetectorParams(0.9, 0.0), 3, 3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"photon vector must be a 1-d vector, got shape {np.shape(bad)}")):
+            forward(mat, PhotonDistribution(bad))
 
 
 def suggest_m_max_reference(params: DetectorParams, n_max: int, tail: float) -> int:

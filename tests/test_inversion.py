@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from pnrecon.detector import (
     build_response,
     forward,
 )
+from pnrecon import inversion
 from pnrecon.inversion import (
     InversionOverflowError,
     _log_inverse_m_ge_n,
@@ -20,6 +22,10 @@ from pnrecon.inversion import (
 from pnrecon.states import fock
 
 mp.mp.dps = 50
+
+NOT_VECTORS = pytest.mark.parametrize(
+    "bad", [np.full((2, 2), 0.25), np.float64(0.5)], ids=["2x2", "0-d"]
+)
 
 
 def entry_value(params, n, m):
@@ -187,6 +193,14 @@ class TestBuildInverse:
 
 
 class TestDirectReconstruct:
+    @NOT_VECTORS
+    def test_count_vector_must_be_1d(self, bad, monkeypatch):
+        # unchecked, a 2x2 array failed in numpy's broadcasting
+        monkeypatch.setattr(inversion, "build_inverse", None)  # no build
+        with pytest.raises(ValueError, match=re.escape(
+                f"count vector must be a 1-d vector, got shape {np.shape(bad)}")):
+            direct_reconstruct(DetectorParams(0.8, 0.1), bad, 2)
+
     def test_identity_detector_returns_counts(self):
         params = DetectorParams(1.0, 0.0)
         got = direct_reconstruct(params, [0.2, 0.3, 0.5], 2)

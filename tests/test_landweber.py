@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from array import array
@@ -16,8 +17,9 @@ from pnrecon.detector import (
     forward,
     suggest_m_max,
 )
-from pnrecon import detector, distio
+from pnrecon import detector, distio, landweber
 from pnrecon.landweber import (
+    _EXACT_RTOL,
     _LAP,
     ConstraintSet,
     LandweberConfig,
@@ -502,29 +504,138 @@ class TestRingOfIterates:
         assert_same_report(got, per_step_reference(mat, counts, constraints, config))
 
 
+class TestExactSolve:
+    """noise_level == 0 on a tall full-rank support: one least-squares
+    solve, clipped to the cone and taken only when it reproduces the data."""
+
+    def test_rounding_negatives_are_clipped_to_positive_zero(self):
+        rng = np.random.default_rng(0)
+        entries = rng.uniform(0.0, 1.0, size=(12, 6))
+        truth = rng.uniform(0.5, 1.0, size=6)
+        truth[[1, 4]] = 0.0
+        data = entries @ truth
+        assert landweber._least_squares(entries, data).min() < 0.0  # the clip runs
+        report = solve(plain_matrix(entries), data)
+        assert (report.stop_reason, report.iterations_run) == ("exact", 0)
+        assert report.estimate.min() >= 0.0 and not np.signbit(report.estimate).any()
+        assert np.abs(report.estimate - truth).max() <= 1e-14
+
+    @pytest.mark.parametrize("case", ["rank-deficient", "inconsistent", "negative-counts"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["nonneg", "masked"])
+    def test_misses_take_the_loop_bit_for_bit(self, case, masked):
+        rng = np.random.default_rng(11)
+        entries = rng.uniform(0.0, 1.0, size=(14, 6))
+        truth = rng.uniform(0.5, 1.0, size=6)
+        if case == "rank-deficient":
+            entries[:, 4] = entries[:, 0] + entries[:, 2]
+        data = entries @ truth
+        if case == "inconsistent":
+            data += rng.normal(0.0, 1e-3, size=14)
+        elif case == "negative-counts":
+            entries = np.eye(6)
+            data = truth - 0.75  # a negative count the cone cannot reproduce
+        constraints = ConstraintSet(np.array([1, 1, 1, 1, 1, 0], bool) if masked else None)
+        config = LandweberConfig(max_iterations=2 * _LAP + 3, stagnation_tol=0.0)
+        mat = plain_matrix(entries)
+        got = solve(mat, data, constraints, config)
+        assert got.stop_reason == "max_iterations"
+        assert_same_report(got, per_step_reference(mat, data, constraints, config))
+
+    def test_cat_window(self):
+        mat, counts, constraints = cat_window()
+        photon = even_cat(23.9, 1e-10)
+        for initial in (None, np.full(photon.n_max + 1, 0.3)):
+            report = solve(mat, counts, constraints, LandweberConfig(
+                max_iterations=5000, stagnation_tol=0.0, initial=initial))
+            assert (report.stop_reason, report.iterations_run) == ("exact", 0)
+            assert report.residual_history.size == report.normalization_history.size == 0
+            assert report.chi == 1.0 / mat.sigma_max_sq
+            assert relative_error(report.estimate, photon.probs) <= 1e-8
+            odd = report.estimate[1::2]
+            assert np.all(odd == 0.0) and not np.signbit(odd).any()
+            assert np.linalg.norm(mat.entries @ report.estimate - counts) <= (
+                _EXACT_RTOL * np.linalg.norm(counts)
+            )
+            assert report.estimate.flags.owndata
+
+    def test_explicit_chi_is_still_checked(self):
+        mat, counts, constraints = cat_window()
+        with pytest.raises(RelaxationBoundError):
+            solve(mat, counts, constraints, LandweberConfig(chi=2.5 / mat.sigma_max_sq))
+
+    def test_noisy_data_never_take_the_path(self, monkeypatch):
+        mat, counts, constraints = cat_window()
+        monkeypatch.setattr(landweber, "_exact_solve", None)  # a call would raise
+        report = solve(mat, counts, constraints, LandweberConfig(noise_level=1e-3))
+        assert report.stop_reason == "discrepancy"
+
+    def test_cat_window_exact_solve_peak_memory(self):
+        mat, counts, constraints = cat_window()
+        mat.sigma_max_sq
+        tracemalloc.start()
+        try:
+            report = solve(mat, counts, constraints,
+                           LandweberConfig(max_iterations=5000, stagnation_tol=0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.stop_reason == "exact"
+        # 44 KB: the 64 x 31 support copy and the SVD's copy and left
+        # factor (16 KB each) with small temporaries; a 5000-step chunk of
+        # the loop is bounded by 1.5e5
+        assert peak < 6e4
+
+    def test_wide_thermal_window_never_takes_the_path(self, monkeypatch):
+        photon = thermal(30, 1e-10)
+        params = DetectorParams(0.34, 0.30)
+        mat = build_response(params, photon.n_max, suggest_m_max(params, photon.n_max, 1e-10))
+        exact = forward(mat, photon)
+        assert mat.entries.shape[0] < mat.entries.shape[1]  # wide
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("least squares on a wide window")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        config = LandweberConfig(max_iterations=_LAP + 1, stagnation_tol=0.0)
+        got = solve(mat, exact, config=config)
+        assert got.stop_reason == "max_iterations"
+        assert_same_report(got, per_step_reference(mat, exact, ConstraintSet(None), config))
+
+
 class TestSolve:
     def test_identity_fixed_point(self):
         mat = plain_matrix(np.eye(4))
         counts = np.array([0.1, 0.2, 0.3, 0.4])
+        exact = solve(mat, counts, ConstraintSet.nonnegative(), LandweberConfig(chi=1.0))
+        assert (exact.stop_reason, exact.iterations_run) == ("exact", 0)
+        assert np.array_equal(exact.estimate, counts)
+        # a negative count lies outside the nonnegative cone: the loop
+        # projects it away in one step and stagnates on the next
+        counts = np.array([0.1, -0.2, 0.3, 0.4])
         report = solve(
             mat,
             counts,
             ConstraintSet.nonnegative(),
             LandweberConfig(chi=1.0),
         )
-        assert np.array_equal(report.estimate, counts)
+        assert np.array_equal(report.estimate, np.maximum(counts, 0.0))
         assert report.iterations_run <= 2
         assert report.stop_reason == "stagnation"
 
     def test_histories_cover_every_iteration(self):
         mat = plain_matrix(np.eye(3))
-        counts = np.array([0.5, 0.25, 0.25])
+        exact = solve(mat, np.array([0.5, 0.25, 0.25]), ConstraintSet.nonnegative(),
+                      LandweberConfig(chi=0.5, max_iterations=7, stagnation_tol=0.0))
+        assert (exact.stop_reason, exact.iterations_run) == ("exact", 0)
+        assert exact.residual_history.size == exact.normalization_history.size == 0
+        # the misfit cannot fall below the 0.05 of the negative count
+        counts = np.array([0.5, 0.25, -0.05])
         for config, reason in [
             (
                 LandweberConfig(chi=0.5, max_iterations=7, stagnation_tol=0.0),
                 "max_iterations",
             ),
-            (LandweberConfig(chi=0.5, noise_level=0.01), "discrepancy"),
+            (LandweberConfig(chi=0.5, noise_level=0.05), "discrepancy"),
             (LandweberConfig(chi=0.5, stagnation_tol=1e-3), "stagnation"),
         ]:
             report = solve(mat, counts, ConstraintSet.nonnegative(), config)
@@ -727,11 +838,12 @@ class TestSolve:
             assert np.all(report.estimate[~mask] == 0)
 
     def test_monotone_residual_on_interior_noiseless_problem(self):
+        # wide, so that exact data take the loop and not the exact solve
         rng = np.random.default_rng(5)
-        entries = rng.uniform(0.1, 1.0, size=(12, 8))
+        entries = rng.uniform(0.1, 1.0, size=(8, 12))
         entries /= entries.sum(axis=0)
         mat = plain_matrix(entries)
-        truth = rng.uniform(0.5, 1.0, size=8)
+        truth = rng.uniform(0.5, 1.0, size=12)
         truth /= truth.sum()
         counts = entries @ truth
         report = solve(
@@ -740,6 +852,7 @@ class TestSolve:
             ConstraintSet.nonnegative(),
             LandweberConfig(max_iterations=400, stagnation_tol=0.0),
         )
+        assert report.iterations_run == 400
         diffs = np.diff(report.residual_history)
         assert np.all(diffs <= 1e-14)
 
@@ -885,6 +998,16 @@ class TestSolve:
         assert (config.chi, config.max_iterations) == (0.5, 7)
         assert type(config.discrepancy_tau) is float
         assert type(config.max_iterations) is int
+
+    @pytest.mark.parametrize(
+        "bad", [np.full((2, 2), 0.25), np.float64(0.5)], ids=["2x2", "0-d"]
+    )
+    def test_count_vector_must_be_1d(self, bad, monkeypatch):
+        # unchecked, the 0-d count was broadcast over the rows and solved
+        monkeypatch.setattr(detector, "_sigma_max_sq", None)  # no Lanczos either
+        with pytest.raises(ValueError, match=re.escape(
+                f"count vector must be a 1-d vector, got shape {np.shape(bad)}")):
+            solve(plain_matrix(np.eye(4)), bad)
 
     def test_dimension_checks(self):
         mat = plain_matrix(np.eye(3))

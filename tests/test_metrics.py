@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ class TestRelativeResidual:
         _, mat, counts = self._setup()
         with pytest.raises(ValueError):
             relative_residual(mat, np.ones(mat.n_max + 5), counts)
+
+    @pytest.mark.parametrize(
+        "bad", [np.full((2, 2), 0.25), np.float64(0.5)], ids=["2x2", "0-d"]
+    )
+    def test_vectors_must_be_1d(self, bad):
+        dist, mat, counts = self._setup()
+        for name, args in [("estimate", (bad, counts)), ("measured vector", (dist.probs, bad))]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be a 1-d vector, got shape {np.shape(bad)}")):
+                relative_residual(mat, *args)
 
     def test_zero_norm_measurement_rejected(self):
         _, mat, _ = self._setup()

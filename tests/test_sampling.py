@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from pnrecon.detector import (
     suggest_m_max,
 )
 from pnrecon.metrics import relative_error
+from pnrecon import sampling
 from pnrecon.sampling import (
     _CHUNK_EVENTS,
     GENERATOR_NAME,
@@ -18,6 +20,10 @@ from pnrecon.sampling import (
     sample_counts,
 )
 from pnrecon.states import thermal
+
+NOT_VECTORS = pytest.mark.parametrize(
+    "bad", [np.full((2, 2), 0.25), np.float64(0.5)], ids=["2x2", "0-d"]
+)
 
 
 def test_generator_is_named():
@@ -75,6 +81,14 @@ class TestSamplingConfig:
 
 
 class TestSampleCounts:
+    @NOT_VECTORS
+    def test_count_vector_must_be_1d(self, bad, monkeypatch):
+        # unchecked, a 2x2 array was sampled as its flattened 4 entries
+        monkeypatch.setattr(sampling, "_uniform_stream", None)  # no draws
+        with pytest.raises(ValueError, match=re.escape(
+                f"count vector must be a 1-d vector, got shape {np.shape(bad)}")):
+            sample_counts(bad, SamplingConfig(10))
+
     def test_degenerate_distribution_is_exact(self):
         dist = np.array([1.0, 0.0, 0.0])
         got = sample_counts(dist, SamplingConfig(events=977, seed=5))
@@ -206,6 +220,13 @@ class TestChunkedStream:
 
 
 class TestExpectedSamplingError:
+    @NOT_VECTORS
+    def test_count_vector_must_be_1d(self, bad):
+        # unchecked, a 2x2 array raised numpy's TypeError on the scalar product
+        with pytest.raises(ValueError, match=re.escape(
+                f"count vector must be a 1-d vector, got shape {np.shape(bad)}")):
+            expected_sampling_error(bad, 10)
+
     def test_matches_multinomial_variance_formula(self):
         probs = np.array([0.5, 0.25, 0.25])
         expected = np.sqrt((1.0 - float(probs @ probs)) / 800.0)

@@ -209,6 +209,32 @@ def test_kummer_overflow_guard():
         log_kummer(500, 1, 700.0)
 
 
+def first_kummer_term_beyond_double(a, b, x):
+    """Index of the first term (a)_i x^i / ((b)_i i!) above the largest
+    double, by the term recurrence in arbitrary precision."""
+    largest = mp.mpf(np.finfo(float).max)
+    term = mp.mpf(1)
+    for i in range(_KUMMER_MAX_TERMS):
+        term *= mp.mpf(a + i) * mp.mpf(x) / ((b + i) * (i + 1))
+        if term > largest:
+            return i + 1
+    raise AssertionError("no term leaves the double range")
+
+
+@pytest.mark.parametrize(
+    "a, b, x", [(500, 1, 700.0), (1, 1, 800.0), (40, 3, 1500.0)],
+    ids=["product-overflows-early", "exponential", "large-b"],
+)
+def test_kummer_overflow_names_the_first_term_beyond_double(a, b, x):
+    # the summer forms term * (a + i) before dividing, which for (500, 1,
+    # 700) overflows while term 144 (1.12e307) is still a double
+    with pytest.raises(OverflowError) as info:
+        log_kummer(a, b, x)
+    found = re.search(r"overflowed at term (\d+)", str(info.value))
+    assert found, str(info.value)
+    assert int(found.group(1)) == first_kummer_term_beyond_double(a, b, x)
+
+
 def test_kummer_overflow_raises_at_the_first_overflowing_term():
     # the index grids build_inverse passes for a 200 x 200 window
     n = np.arange(200)[:, None]
