@@ -78,9 +78,7 @@ def _cmd_build_detector(args) -> int:
 
 def _cmd_forward(args) -> int:
     mat = distio.read_matrix(args.detector)
-    values, _ = distio.read_distribution(args.state)
-    photon = PhotonDistribution(values, max(0.0, 1.0 - float(values.sum())))
-    photon.validate()
+    photon = PhotonDistribution(distio.read_distribution(args.state)[0])
     counts = forward(mat, photon)
     distio.write_distribution(args.output, counts, fmt=args.format)
     print(f"wrote {args.output}")

@@ -15,7 +15,7 @@ import hashlib
 import inspect
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -44,7 +44,7 @@ __all__ = [
 # state kinds; each names its builder in ``states`` ("file": from_file)
 _STATE_KINDS = ("thermal", "spats", "even_cat", "fock", "file")
 
-_SOLVER_KEYS = ("chi", "max_iterations", "discrepancy_tau", "noise_level", "stagnation_tol")
+_SOLVER_KEYS = tuple(f.name for f in fields(LandweberConfig) if f.name != "initial")
 
 _CONFIG_KEYS = ("name", "state", "detector_true", "detector_assumed", "sampling",
                 "solver", "constraints", "window_tail", "m_max", "direct_inversion")
@@ -264,7 +264,6 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
 
     with _stage("state"):
         photon = build_state(config.state)
-        photon.validate()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("detector"):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import ResponseMatrix, zero_pad
-from .states import _require_integer, _require_real
+from .states import _require_finite, _require_integer, _require_real
 
 __all__ = [
     "ConstraintSet",
@@ -259,11 +259,13 @@ def solve(
     actually run. With noise_level == 0 on a tall full-rank support whose
     data a nonnegative vector reproduces to 1e-12 relative, that vector is
     returned instead (stop_reason "exact"; max_iterations and initial
-    play no part).
+    play no part). A NaN or infinite count raises ValueError naming its
+    index before either runs.
     """
     matrix = mat.entries
     rows, cols = matrix.shape
     data = zero_pad(counts, rows, "count vector", "matrix rows")
+    _require_finite(data, "count", "m")  # negative counts are data too
     mask = constraints.support_mask
     if mask is not None and mask.size != cols:
         raise ValueError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _require_integer, _require_probabilities, _require_vector
+from .states import _require_finite, _require_integer, _require_probabilities, _require_vector
 
 __all__ = [
     "GENERATOR_NAME",
@@ -79,6 +79,9 @@ def sample_counts(true_dist, config: SamplingConfig) -> np.ndarray:
 
 def expected_sampling_error(dist, events: int) -> float:
     """Expected Euclidean error of empirical frequencies from ``events``
-    i.i.d. draws from the count vector ``dist``: sqrt((1 - sum p^2) / nu)."""
+    i.i.d. draws from the count vector ``dist``: sqrt((1 - sum p^2) / nu).
+    A NaN or infinite entry raises ValueError naming it: max(0, nan) would
+    read as no noise and turn the discrepancy stop off."""
     probs = _require_vector(dist, "count vector")
+    _require_finite(probs, "count", "m")
     return float(np.sqrt(max(0.0, 1.0 - float(probs @ probs)) / events))

@@ -1,8 +1,9 @@
 """Analytic photon-number distributions used as test inputs.
 
 Each generator returns a distribution truncated to a finite window chosen
-so that the discarded mass is below a caller-supplied tail bound; the bound
-actually achieved is recorded on the result so downstream consumers can
+so that the discarded mass is below a caller-supplied tail bound. Every
+PhotonDistribution checks its vector when built and derives the
+truncation tail, max(0, 1 - sum), from it, so downstream consumers can
 audit truncation error.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,32 +52,24 @@ class SumDeviationError(DistributionFileError):
 
 @dataclass(frozen=True, eq=False)
 class PhotonDistribution:
-    """Probabilities over photon numbers 0..N plus the truncation bound.
-
-    Invariants: all probabilities nonnegative, and the total mass lies in
-    [1 - truncation_tail, 1 + 1e-12].
-    """
+    """Probabilities over photon numbers 0..N, checked when built: a
+    nonempty 1-d vector of finite, nonnegative entries whose total mass is
+    at most 1 + 1e-12. A mass deficit is allowed and becomes the
+    truncation tail, max(0, 1 - total)."""
 
     probs: np.ndarray
-    truncation_tail: float = 0.0
+    truncation_tail: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "probs", np.asarray(self.probs, dtype=float)
-        )
-
-    def validate(self) -> None:
-        if self.probs.ndim != 1 or self.probs.size == 0:
+        probs = _require_vector(self.probs, "photon vector")
+        if not probs.size:
             raise ValueError("probs must be a nonempty 1-d vector")
-        _require_probabilities(self.probs, "photon", "n")
-        total = float(self.probs.sum())
-        # 1 - total <= tail, not 1 - tail <= total: a tail computed as
-        # 1 - total passes whatever the rounding
-        if not (1.0 - total <= self.truncation_tail and total <= 1.0 + _SUM_UPPER_SLACK):
-            raise ValueError(
-                f"total mass {total!r} outside "
-                f"[1 - {self.truncation_tail!r}, 1 + 1e-12]"
-            )
+        _require_probabilities(probs, "photon", "n")
+        total = float(probs.sum())
+        if total > 1.0 + _SUM_UPPER_SLACK:
+            raise ValueError(f"total mass {total!r} exceeds 1 + 1e-12")
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "truncation_tail", max(0.0, 1.0 - total))
 
     @property
     def n_max(self) -> int:
@@ -110,16 +103,21 @@ def _require_vector(values, name: str) -> np.ndarray:
     return values
 
 
-def _require_probabilities(values: np.ndarray, kind: str, index: str) -> None:
-    """Reject non-finite probabilities (naming the first, at ``index``=i)
-    and negative ones (naming the most negative); ``kind`` is "photon" or
-    "count"."""
+def _require_finite(values: np.ndarray, kind: str, index: str) -> None:
+    """Reject non-finite probabilities, naming the first (at ``index``=i);
+    ``kind`` is "photon" or "count"."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(
             f"{kind} probabilities must be finite, got "
             f"{values[bad[0]]} at {index}={bad[0]}"
         )
+
+
+def _require_probabilities(values: np.ndarray, kind: str, index: str) -> None:
+    """Reject non-finite probabilities (as _require_finite) and negative
+    ones (naming the most negative)."""
+    _require_finite(values, kind, index)
     if np.any(values < 0):
         bad = int(np.argmin(values))
         raise NegativeProbabilityError(
@@ -145,9 +143,7 @@ def _truncate_by_mass(term, tail: float) -> PhotonDistribution:
         n += 1
         if n > _WINDOW_CAP:
             raise RuntimeError("truncation window exceeded sanity cap")
-    arr = np.array(probs)
-    discarded = max(0.0, 1.0 - float(arr.sum()))
-    return PhotonDistribution(arr, discarded)
+    return PhotonDistribution(np.array(probs))
 
 
 def thermal(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
@@ -208,7 +204,7 @@ def fock(n: int) -> PhotonDistribution:
         raise ValueError(f"n must be nonnegative, got {n}")
     probs = np.zeros(n + 1)
     probs[n] = 1.0
-    return PhotonDistribution(probs, 0.0)
+    return PhotonDistribution(probs)
 
 
 def parse_vector(text: str) -> tuple[np.ndarray, dict]:
@@ -263,4 +259,4 @@ def from_file(path) -> PhotonDistribution:
             f"probabilities sum to {total!r}, outside "
             f"[1 - {_FILE_SUM_TOL}, 1 + {_SUM_UPPER_SLACK}]"
         )
-    return PhotonDistribution(values, max(0.0, 1.0 - total))
+    return PhotonDistribution(values)

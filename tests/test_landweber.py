@@ -1009,6 +1009,16 @@ class TestSolve:
                 f"count vector must be a 1-d vector, got shape {np.shape(bad)}")):
             solve(plain_matrix(np.eye(4)), bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["exact", "noisy"])
+    def test_non_finite_count_rejected_before_any_solve(self, bad, noise, monkeypatch):
+        # unchecked, one NaN ran every iteration and returned an all-NaN estimate
+        monkeypatch.setattr(detector, "_sigma_max_sq", None)  # no Lanczos
+        monkeypatch.setattr(landweber, "_least_squares", None)  # no exact solve
+        counts = np.array([0.25, 0.25, bad, 0.25])
+        with pytest.raises(ValueError, match=f"count probabilities must be finite, got {bad} at m=2"):
+            solve(plain_matrix(np.eye(4)), counts, config=LandweberConfig(noise_level=noise))
+
     def test_dimension_checks(self):
         mat = plain_matrix(np.eye(3))
         with pytest.raises(ValueError):

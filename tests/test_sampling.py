@@ -227,6 +227,12 @@ class TestExpectedSamplingError:
                 f"count vector must be a 1-d vector, got shape {np.shape(bad)}")):
             expected_sampling_error(bad, 10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # unchecked, [nan, 0.5] gave 0.0: max(0.0, nan) is 0.0
+        with pytest.raises(ValueError, match=f"count probabilities must be finite, got {bad} at m=0"):
+            expected_sampling_error(np.array([bad, 0.5]), 10)
+
     def test_matches_multinomial_variance_formula(self):
         probs = np.array([0.5, 0.25, 0.25])
         expected = np.sqrt((1.0 - float(probs @ probs)) / 800.0)

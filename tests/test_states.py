@@ -125,7 +125,6 @@ class TestFock:
 )
 def test_generator_outputs_satisfy_invariants(build, tail):
     dist = build(tail)
-    dist.validate()
     assert np.all(dist.probs >= 0)
     total = float(dist.probs.sum())
     assert 1.0 - dist.truncation_tail <= total <= 1.0 + 1e-12
@@ -183,7 +182,6 @@ class TestFromFile:
         dist = from_file(path)
         assert dist.probs.tolist() == [0.4999999, 0.5]
         assert dist.truncation_tail == 1.0 - dist.probs.sum()
-        dist.validate()
 
     @pytest.mark.parametrize("text", ["0.5000001, 0.5", "0.5, 0.5000005"])
     def test_mass_excess_rejected(self, tmp_path, text):
@@ -213,27 +211,37 @@ class TestFromFile:
             from_file(path)
 
 
-class TestPhotonDistributionValidate:
+class TestPhotonDistributionConstruction:
     def test_negative_rejected(self):
-        dist = PhotonDistribution(np.array([0.5, -0.1, 0.6]), 0.0)
-        with pytest.raises(ValueError):
-            dist.validate()
+        with pytest.raises(NegativeProbabilityError, match="negative probability -0.1 at index 1"):
+            PhotonDistribution(np.array([0.5, -0.1, 0.6]))
 
     @pytest.mark.parametrize("values", [[0.05, 0.25], [0.15]])
-    def test_tail_of_one_minus_sum_passes_whatever_the_rounding(self, values):
+    def test_tail_is_one_minus_sum_whatever_the_rounding(self, values):
         probs = np.array(values)
-        PhotonDistribution(probs, max(0.0, 1.0 - float(probs.sum()))).validate()
+        dist = PhotonDistribution(probs)
+        assert dist.truncation_tail == 1.0 - float(probs.sum())
 
-    def test_mass_window_enforced(self):
-        dist = PhotonDistribution(np.array([0.5, 0.4]), 1e-12)
-        with pytest.raises(ValueError):
-            dist.validate()
+    def test_tail_is_zero_at_full_or_excess_mass(self):
+        assert PhotonDistribution(np.array([0.25, 0.75])).truncation_tail == 0.0
+        assert PhotonDistribution(np.array([0.5, 0.5 + 1e-13])).truncation_tail == 0.0
+
+    def test_excess_mass_rejected(self):
+        with pytest.raises(ValueError, match=r"^total mass 1\.25 exceeds 1 \+ 1e-12$"):
+            PhotonDistribution(np.array([0.5, 0.75]))
+
+    def test_tail_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            PhotonDistribution(np.array([0.5, 0.4]), 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        dist = PhotonDistribution(np.array([0.5, 0.2, bad, 0.3]), 0.0)
         with pytest.raises(
             ValueError,
             match=f"photon probabilities must be finite, got {bad} at n=2",
         ):
-            dist.validate()
+            PhotonDistribution(np.array([0.5, 0.2, bad, 0.3]))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="probs must be a nonempty 1-d vector"):
+            PhotonDistribution(np.array([]))
