@@ -56,6 +56,7 @@ class DetectorParams:
     def __post_init__(self):
         for name in ("eta", "n_noise"):
             object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        object.__setattr__(self, "n_noise", self.n_noise + 0.0)  # -0.0 would write "-0"
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.n_noise < 0.0:

@@ -6,12 +6,16 @@ accepted on input). Floats are always written with 17 significant digits
 so values round-trip exactly and repeated runs produce byte-identical
 files. Float arrays are formatted in bulk: one finiteness check per array
 and one C-level "%.17g" pass per row, giving the same bytes as
-formatting each value on its own.
+formatting each value on its own. A JSON write checks the whole object
+(non-finite values, unsupported types) before it opens the file, so a
+failed write leaves no file and an existing one untouched; it then
+streams the text a row at a time, needing about one row beyond the object.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
 
@@ -39,57 +43,73 @@ def _format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _format_rows(values: np.ndarray, sep: str) -> list[str]:
-    """One string per row of a 1-D or 2-D float array (a 1-D array is one
-    row), its "%.17g" entries joined by sep in a single C-level pass."""
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        at = tuple(bad[0].tolist())
+def _format_rows(values: np.ndarray, sep: str) -> Iterator[str]:
+    """Check a 1-D or 2-D float array (a 1-D array is one row), then return
+    a lazy iterator over its rows, each row's "%.17g" entries joined by sep
+    in a single C-level pass."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0].tolist())
         raise ValueError(
             f"cannot serialize non-finite value {float(values[at])!r} "
             f"at index {', '.join(map(str, at))}"
         )
     fmt = sep.join(["%.17g"] * values.shape[-1])
-    return [fmt % tuple(row) for row in np.atleast_2d(values).tolist()]
+    return (fmt % tuple(row.tolist()) for row in np.atleast_2d(values))
 
 
-def dumps(obj, indent: int = 0) -> str:
+def _walk(obj, indent: int) -> Iterator:
+    """Yield the JSON text of obj in pieces, checking each value when it is
+    reached; a float array is checked whole and then yields one lazy
+    iterator over its formatted rows."""
+    pad, inner = " " * indent, " " * (indent + 2)
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2) and obj.size:
+        deep = " " * (indent + 2 * obj.ndim)
+        head, tail = ("[\n" + deep, "\n" + inner + "]") if obj.ndim == 2 else ("", "")
+        rows = _format_rows(obj, ",\n" + deep)
+        yield "[\n"
+        yield ((",\n" if m else "") + inner + head + row + tail for m, row in enumerate(rows))
+        yield "\n" + pad + "]"
+        return
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(obj.items()):
+            yield ("{\n" if i == 0 else ",\n") + inner + json.dumps(str(key)) + ": "
+            yield from _walk(value, indent + 2)
+        yield "\n" + pad + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, value in enumerate(obj):
+            yield ("[\n" if i == 0 else ",\n") + inner
+            yield from _walk(value, indent + 2)
+        yield "\n" + pad + "]"
+    elif isinstance(obj, (bool, str, dict, list, tuple)) or obj is None:  # incl. {} and []
+        yield json.dumps(obj)
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        yield _format_float(float(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _pieces(obj) -> Iterator[str]:
+    """Check obj whole, then return an iterator over its JSON text."""
+    plan = list(_walk(obj, 0))
+    return chain.from_iterable([piece] if isinstance(piece, str) else piece for piece in plan)
+
+
+def dumps(obj) -> str:
     """Serialize to JSON with fixed float formatting (17 significant
     digits) and stable key order (insertion order preserved)."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(key))}: {dumps(value, indent + 2)}"
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim in (1, 2) and obj.size:
-            deep = " " * (indent + 2 * obj.ndim)
-            rows = _format_rows(obj, ",\n" + deep)
-            if obj.ndim == 2:
-                rows = [f"[\n{deep}{row}\n{inner}]" for row in rows]
-            return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{dumps(value, indent + 2)}" for value in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return "".join(_pieces(obj))
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(dumps(obj) + "\n", encoding="utf-8")
+    pieces = _pieces(obj)  # raises before the file is opened
+    with open(path, "w", encoding="utf-8") as file:
+        file.writelines(pieces)
+        file.write("\n")
 
 
 def write_distribution(path, values, metadata=None, fmt: str = "json") -> None:
@@ -101,7 +121,7 @@ def write_distribution(path, values, metadata=None, fmt: str = "json") -> None:
     """
     values = np.asarray(values, dtype=float)
     if fmt == "csv":
-        lines = _format_rows(values, "\n")[0]
+        lines = next(_format_rows(values, "\n"))
         Path(path).write_text(lines + "\n", encoding="utf-8")
         return
     if fmt != "json":

@@ -115,14 +115,14 @@ def build_inverse(
     noise = params.n_noise
     n = np.arange(n_max + 1)[:, None]
     m = np.arange(m_max + 1)[None, :]
-    hi = np.maximum(n, m)
     diff = np.abs(n - m)
     y = noise * (1.0 - params.eta) / params.eta
-    log_phi = log_kummer(hi + 1.0, diff + 1.0, y)
+    log_mag = log_kummer(np.maximum(n, m) + 1.0, diff + 1.0, y)  # ln Phi, in place below
     table = log_factorial_table(max(n_max, m_max))
     log_eta = math.log(params.eta)
 
-    log_mag = noise + log_phi - n * log_eta
+    log_mag += noise
+    log_mag -= n * log_eta
     sign = np.where(diff % 2 == 0, 1, -1).astype(np.int8)
     lower = m <= n  # noise-power branch
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -139,7 +139,7 @@ def build_inverse(
             )
         else:
             log_upper = np.where(diff > 0, -math.inf, 0.0)
-    log_mag = log_mag + np.where(lower, log_lower, log_upper)
+    log_mag += np.where(lower, log_lower, log_upper)
     dead = np.isneginf(log_mag)
     sign = np.where(dead, 0, sign).astype(np.int8)
     return log_mag, sign

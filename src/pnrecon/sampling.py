@@ -70,11 +70,12 @@ def sample_counts(true_dist, config: SamplingConfig) -> np.ndarray:
         raise ValueError("invalid distribution: total mass is zero")
     cdf = np.cumsum(probs / total)
     cdf[-1] = 1.0  # close the window so every u < 1 lands inside
-    counts = np.zeros(probs.size, dtype=np.intp)
+    # below[m] counts draws u < cdf[m]; bin m holds cdf[m - 1] <= u < cdf[m]
+    below = np.zeros(probs.size, dtype=np.intp)
     for uniforms in _uniform_stream(config.seed, config.events):
-        draws = np.searchsorted(cdf, uniforms, side="right")
-        counts += np.bincount(draws, minlength=probs.size)
-    return counts / config.events
+        uniforms.sort()
+        below += np.searchsorted(uniforms, cdf, side="left")
+    return np.diff(below, prepend=0) / config.events
 
 
 def expected_sampling_error(dist, events: int) -> float:

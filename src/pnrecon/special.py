@@ -93,20 +93,24 @@ def log_kummer(a, b, x: float):
     1e-17 everywhere (hard cap 10000 terms); an overflow raises
     OverflowError naming the first term beyond the double range.
     """
-    total = np.ones(np.shape(a))
-    term = np.ones(np.shape(a))
+    total, term = np.ones(np.shape(a)), np.ones(np.shape(a))
+    spare, scratch = np.empty_like(term), np.empty_like(term)
     try:
         with np.errstate(over="raise"):
             for i in range(_KUMMER_MAX_TERMS):
-                term = term * (a + i) * (x / ((b + i) * (i + 1.0)))
+                # spare = term * (a + i) * (x / ((b + i) * (i + 1.0))), in buffers
+                np.multiply(term, np.add(a, i, out=spare), out=spare)
+                np.multiply(np.add(b, i, out=scratch), i + 1.0, out=scratch)
+                np.multiply(spare, np.divide(x, scratch, out=scratch), out=spare)
+                term, spare = spare, term
                 total += term
-                if np.all(term < _KUMMER_REL_TOL * total):
+                if np.all(term < np.multiply(total, _KUMMER_REL_TOL, out=scratch)):
                     break
     except FloatingPointError:
         # term * (a + i) can overflow while term i + 1 is still a double:
-        # the failed product left term i in place, so go on in log space.
-        # An overflowed partial sum has written inf into total instead, and
-        # term holds term i + 1.
+        # the failed product went to spare and left term i in place, so go
+        # on in log space. An overflowed partial sum has written inf into
+        # total instead, and term holds term i + 1.
         n = i + 1
         if np.all(np.isfinite(total)):
             n, log_term = i, np.log(term)
@@ -116,5 +120,5 @@ def log_kummer(a, b, x: float):
         raise OverflowError(
             f"Kummer series Phi(a, b; {x}) overflowed at term {n}"
         ) from None
-    return np.log(total)
+    return np.log(total, out=total)[()]  # a scalar for scalar a
 

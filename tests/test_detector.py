@@ -82,6 +82,18 @@ class TestDetectorParams:
         assert params == DetectorParams(0.5, 0.0)
         assert type(params.n_noise) is float
 
+    def test_negative_zero_noise_is_normalized(self, tmp_path):
+        # -0.0 is not below 0, so it is accepted; unnormalized it gave -0.
+        # entries, and a file whose "-0" reads back as the int 0
+        params = DetectorParams(0.5, -0.0)
+        assert not math.copysign(1.0, params.n_noise) < 0
+        mat = build_response(params, 3, 3)
+        assert not np.any(np.signbit(mat.entries))
+        path = tmp_path / "S.json"
+        distio.write_matrix(path, mat)
+        assert re.search(r"-0(?![.\d])", path.read_text(encoding="utf-8")) is None
+        assert not np.any(np.signbit(distio.read_matrix(path).entries))
+
     def test_laguerre_arg_sign(self):
         assert DetectorParams(0.34, 0.30).laguerre_arg <= 0
         assert DetectorParams(1.0, 0.5).laguerre_arg == 0

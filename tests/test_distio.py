@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,68 @@ class TestBulkFormattingMatchesReference:
             }
         )
         assert path.read_text(encoding="utf-8") == expected + "\n"
+
+
+class TestStreamingWriter:
+    """write_json checks the whole object, then streams it into the file
+    one piece (a 2-D float array: one row) at a time."""
+
+    @given(payloads)
+    def test_json_file_matches_reference(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("json") / "p.json"
+        distio.write_json(path, payload)
+        assert path.read_text(encoding="utf-8") == _reference_dumps(payload) + "\n"
+
+    def test_matrix_payload_matches_reference(self, tmp_path):
+        rng = np.random.default_rng(4)
+        payload = {"a": rng.random((5, 3)), "b": [rng.random((2, 4)), 1e-300],
+                   "c": {"d": -rng.random((1, 6)), "e": np.zeros((3, 1))}}
+        path = tmp_path / "p.json"
+        distio.write_json(path, payload)
+        assert path.read_text(encoding="utf-8") == _reference_dumps(payload) + "\n"
+
+    @pytest.mark.parametrize("metadata", [None, {"nu": 10, "window": [0.5, 2]}])
+    def test_distribution_file_matches_reference(self, tmp_path, metadata):
+        values = np.array([1 / 3, 1 / 7, 0.0, 5e-324])
+        path = tmp_path / "d.json"
+        distio.write_distribution(path, values, metadata=metadata)
+        expected = {"probs": values, **metadata} if metadata else values
+        assert path.read_text(encoding="utf-8") == _reference_dumps(expected) + "\n"
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ({"a": np.ones((40, 30)), "b": [1.0, 2.0, np.nan]}, ValueError),
+            ({"a": np.ones((40, 30)), "b": np.full((2, 2), np.inf)}, ValueError),
+            ({"a": np.ones((40, 30)), "b": {"c": float("-inf")}}, ValueError),
+            ({"a": np.ones((40, 30)), "b": object()}, TypeError),
+            ({"a": np.ones((40, 30)), "b": [{1, 2}]}, TypeError),
+        ],
+        ids=["nan-list", "inf-matrix", "inf-scalar", "object", "set"],
+    )
+    def test_bad_later_value_raises_before_any_write(self, tmp_path, payload, error):
+        path = tmp_path / "new.json"
+        with pytest.raises(error):
+            distio.write_json(path, payload)
+        assert not path.exists()
+        old = tmp_path / "old.json"
+        old.write_bytes(b"kept\n")
+        with pytest.raises(error):
+            distio.write_json(old, payload)
+        assert old.read_bytes() == b"kept\n"
+
+    def test_matrix_write_memory_is_bounded_by_a_row(self, tmp_path):
+        # the thermal_fig1 window, 322 x 703: 6.4 MB of text; building the
+        # whole document first peaked at about 3x that
+        mat = build_response(DetectorParams(0.34, 0.30), 702, 321)
+        path = tmp_path / "S.json"
+        tracemalloc.start()
+        try:
+            distio.write_matrix(path, mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * path.stat().st_size
 
 
 class TestNonFiniteArrays:

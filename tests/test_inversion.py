@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -181,6 +182,20 @@ class TestBuildInverse:
         i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
         scale = float(np.abs(dense[i] * mat.entries[:, j]).max())
         assert deviation.max() <= 1e3 * scale * np.finfo(float).eps
+
+    def test_memory_stays_below_eight_window_arrays(self):
+        # the spats_fig3_direct window: n 0..276, m 0..255; the Kummer
+        # series alone holds a, b, its sum, two term buffers and a scratch
+        params = DetectorParams(0.7764, 0.748)
+        window_bytes = 277 * 256 * 8
+        build_inverse(params, 276, 255)  # factorial table grown outside the trace
+        tracemalloc.start()
+        try:
+            build_inverse(params, 276, 255)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * window_bytes
 
     def test_row_norm_growth_is_monotone(self):
         # the instability mechanism: deeper photon numbers amplify more

@@ -207,6 +207,35 @@ class TestChunkedStream:
             np.concatenate(chunks), (raw >> np.uint64(11)) * 2.0**-53
         )
 
+    @pytest.mark.parametrize(
+        "probs, passes_one",
+        [
+            ([0.43, 0.0, 0.28, 0.0, 0.0, 0.29], False),  # zero interior bins
+            ([0.43, 0.28, 0.65, 0.0], True),  # normalized cumsum 1 + 2**-52 at m = 2
+            ([0.43, 0.28, 0.0, 0.65, 0.0], True),
+        ],
+        ids=["zero-interior", "cdf-passes-1", "both"],
+    )
+    @pytest.mark.parametrize("events", [1, 7, _CHUNK_EVENTS + 1, 500_000])
+    def test_sorted_counting_matches_searchsorted_bincount(self, probs, passes_one, events):
+        probs = np.array(probs)
+        assert (np.cumsum(probs / probs.sum())[:-1].max() > 1.0) == passes_one
+        for seed in (0, 3, 2**64 - 1):
+            got = sample_counts(probs, SamplingConfig(events=events, seed=seed))
+            want = _one_shot_counts(probs, events, seed)
+            assert got.tobytes() == want.tobytes()
+            assert np.all(got[probs == 0.0] == 0.0)
+
+    def test_draw_equal_to_a_cdf_entry_lands_in_the_next_bin(self):
+        # a tie u == cdf[m] never happens by chance: build cdf[1] from the
+        # first draw of the stream so that it does
+        u0 = float(next(sampling._uniform_stream(11, 1))[0])
+        probs = np.array([u0 / 2, u0 / 2, 1.0 - u0])
+        assert np.cumsum(probs / probs.sum())[1] == u0
+        got = sample_counts(probs, SamplingConfig(events=1, seed=11))
+        assert got.tolist() == [0.0, 0.0, 1.0]
+        assert np.array_equal(got, _one_shot_counts(probs, 1, 11))
+
     def test_memory_does_not_grow_with_events(self):
         # one-shot sampling of 2e6 events holds about 48 MB at once
         dist = thermal(3.0, 1e-6).probs
