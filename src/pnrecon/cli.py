@@ -17,6 +17,7 @@ failure (for example direct-inversion overflow).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -187,6 +188,7 @@ def _cmd_list_configs(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pnrecon",

@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 _SUGGEST_HARD_MARGIN = 4000
-_LANCZOS_REL_TOL = 1e-10
-_LANCZOS_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -72,18 +70,21 @@ class DetectorParams:
 class ResponseMatrix:
     """Dense response matrix, rows m = 0..m_max, columns n = 0..n_max.
 
-    ``entries`` must be a finite 2-d array (anything ``np.asarray`` turns
-    into one); it is made read-only, a view being copied first, so the
-    values derived from it stay valid. col_tail is derived, not passed:
+    ``entries`` must be a finite, nonnegative 2-d array (anything
+    ``np.asarray`` turns into one); it is made read-only, a view being
+    copied first, so the values derived from it stay valid. Both derived
+    values are taken when the matrix is built, not passed:
     col_tail[n] = max(0, 1 - sum_m entries[m, n]) bounds the conditional
-    mass truncated away above m_max in column n. sigma_max_sq is computed
-    on first use; entries made writable again are rechecked on every use.
+    mass truncated away above m_max in column n, and norm_bound_sq =
+    (max column sum) * (max row sum) bounds sigma_max(S)^2 from above
+    (the Schur test, Horn & Johnson, *Matrix Analysis*, 5.6; valid for
+    S >= 0). Entries made writable again are rechecked on every use.
     """
 
     entries: np.ndarray
     params: DetectorParams
     _col_tail: np.ndarray = field(init=False, repr=False)
-    _cached_sigma_max_sq: float | None = field(init=False, repr=False)
+    _norm_bound_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -95,16 +96,23 @@ class ResponseMatrix:
         self._derive()
         entries.flags.writeable = False
 
-    def _derive(self) -> None:  # check finiteness, set col_tail, drop sigma_max_sq
-        sums = self.entries.sum(axis=0)  # non-finite in every column holding a NaN or inf
-        bad = () if np.isfinite(sums).all() else np.argwhere(~np.isfinite(self.entries))
+    def _derive(self) -> None:  # check the entries, set col_tail and norm_bound_sq
+        entries = self.entries
+        sums = entries.sum(axis=0)  # non-finite in every column holding a NaN or inf
+        bad = () if np.isfinite(sums).all() else np.argwhere(~np.isfinite(entries))
         if len(bad):  # none if finite entries merely overflowed a sum
             m, n = bad[0].tolist()
             raise ValueError(
-                f"non-finite entry {float(self.entries[m, n])!r} at (m, n) = ({m}, {n})"
+                f"non-finite entry {float(entries[m, n])!r} at (m, n) = ({m}, {n})"
+            )
+        if entries.min(initial=0.0) < 0.0:  # a reduction: no window-sized mask
+            m, n = np.unravel_index(entries.argmin(), entries.shape)
+            raise ValueError(
+                f"negative entry {float(entries[m, n])!r} at (m, n) = ({m}, {n})"
             )
         object.__setattr__(self, "_col_tail", np.maximum(0.0, 1.0 - sums))
-        object.__setattr__(self, "_cached_sigma_max_sq", None)
+        bound = sums.max(initial=0.0) * entries.sum(axis=1).max(initial=0.0)
+        object.__setattr__(self, "_norm_bound_sq", float(bound))
 
     @property
     def m_max(self) -> int:
@@ -121,40 +129,12 @@ class ResponseMatrix:
         return self._col_tail
 
     @property
-    def sigma_max_sq(self) -> float:
-        """Largest squared singular value of the entries (Lanczos)."""
+    def norm_bound_sq(self) -> float:
+        """(max column sum) * (max row sum) >= sigma_max(S)^2; 0 only for a
+        zero matrix."""
         if self.entries.flags.writeable:
             self._derive()
-        if self._cached_sigma_max_sq is None:
-            object.__setattr__(self, "_cached_sigma_max_sq", _sigma_max_sq(self.entries))
-        return self._cached_sigma_max_sq
-
-
-def _sigma_max_sq(matrix: np.ndarray) -> float:
-    """sigma_max(S)^2 by Lanczos (Golub & Van Loan, ch. 10) on the smaller of
-    S S^T and S^T S as two products with S, from a fixed start vector, fully
-    reorthogonalized (classical Gram-Schmidt, twice), stopped when the top
-    Ritz pair's residual beta |y_last| is <= 1e-10 of its value (or beta = 0)
-    or after min(64, dim) steps: ~1e-15 relative to the SVD on bundled windows."""
-    dim, wide = min(matrix.shape), matrix.shape[0] < matrix.shape[1]
-    steps = min(_LANCZOS_MAX_STEPS, dim)
-    basis, tri = np.empty((steps, dim)), np.zeros((steps + 1, steps + 1))
-    v = np.full(dim, 1.0 / math.sqrt(dim))
-    for k in range(steps):
-        basis[k] = v
-        w = matrix @ (matrix.T @ v) if wide else matrix.T @ (matrix @ v)
-        tri[k, k] = v @ w
-        for _ in range(2):
-            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
-        beta = math.sqrt(w @ w)
-        values, vectors = np.linalg.eigh(tri[: k + 1, : k + 1])
-        if values[-1] <= 0.0:
-            raise ValueError("matrix has zero norm; cannot pick a stepsize")
-        if beta * abs(vectors[-1, -1]) <= _LANCZOS_REL_TOL * values[-1]:
-            break
-        tri[k + 1, k] = beta  # eigh reads the lower triangle
-        v = w / beta
-    return float(values[-1])
+        return self._norm_bound_sq
 
 
 def _log_entry_m_ge_n(params: DetectorParams, m: int, n: int) -> float:

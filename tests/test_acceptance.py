@@ -185,6 +185,57 @@ class TestCriterion1Thermal:
         )
 
 
+class TestLowEfficiencyThermal:
+    """The abstract's claim of satisfactory results "even in the case of
+    low detection efficiency": criterion 1 at eta = 0.1 and 0.05, true
+    N = 0.30, reconstructed with eta 3% high and N = 0.29, nu = 5e4. The
+    sampled dP band of criterion 1 is left out: at these efficiencies the
+    count distribution is narrower, so its sampling error is smaller."""
+
+    @pytest.mark.parametrize("eta", [0.1, 0.05])
+    def test_thermal_experiment(self, eta):
+        photon = thermal(30, 1e-10)
+        true_params = DetectorParams(eta, 0.30)
+        assumed = DetectorParams(eta * 1.03, 0.29)
+        m_max = suggest_m_max(true_params, photon.n_max, 1e-10)
+        mat_true = build_response(true_params, photon.n_max, m_max)
+        mat_rec = build_response(assumed, photon.n_max, m_max)
+        rec_ok, stops, details = [], [], []
+        for seed in THERMAL_SEEDS:
+            trial = run_trial(
+                mat_true, mat_rec, photon, 50_000, seed,
+                {}, ConstraintSet.nonnegative(),
+            )
+            try:
+                raw = direct_reconstruct(assumed, trial["empirical"], photon.n_max)
+                direct_bad = (
+                    relative_error(raw, photon.probs) >= 10.0 * trial["delta_est"]
+                )
+            except InversionOverflowError:
+                direct_bad = True
+            rec_ok.append(
+                trial["delta_est"] <= 0.10 and trial["delta_res"] <= 0.04
+            )
+            stops.append(trial["stop_reason"])
+            details.append(
+                f"seed {seed}: dp={trial['delta_est']:.4f} "
+                f"dres={trial['delta_res']:.4f} stop={trial['stop_reason']}"
+            )
+            assert check(
+                f"low-eta {eta} direct-inversion seed {seed}", direct_bad,
+                "overflow or error >= 10x Landweber",
+            )
+        detail = "; ".join(details)
+        assert check(
+            f"low-eta {eta} discrepancy stop on every seed",
+            stops == ["discrepancy"] * len(THERMAL_SEEDS), detail,
+        )
+        assert check(
+            f"low-eta {eta} dp<=0.10 and dres<=0.04 for >=4/5 seeds",
+            sum(rec_ok) >= 4, f"{sum(rec_ok)}/5 seeds; {detail}",
+        )
+
+
 @pytest.fixture(scope="module")
 def spats_trials(spats_setup):
     s = spats_setup

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pnrecon
-from pnrecon import distio
+from pnrecon import cli, distio
 from pnrecon.cli import main
 from pnrecon.detector import DetectorParams
 from pnrecon.experiment import (
@@ -244,6 +244,30 @@ class TestSubcommands:
             "cat_fig4", "spats_fig2", "spats_fig3_direct", "thermal_fig1"
         ]
 
+    def test_calls_share_one_parser_but_no_parsed_state(self, tmp_path, monkeypatch):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        seen, parse = [], parser.parse_args
+
+        def recorded(argv):
+            seen.append(parse(argv))
+            return seen[-1]
+
+        monkeypatch.setattr(parser, "parse_args", recorded)
+        assert run_cli(
+            "gen-state", "thermal", "--mean", "5", "--tail", "1e-8",
+            "--format", "csv", "--output", str(tmp_path / "p.csv"),
+        ) == 0
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--output", str(tmp_path / "S.json"),
+        ) == 0
+        first, second = seen
+        assert (first.command, first.tail, first.format) == ("gen-state", 1e-8, "csv")
+        assert (second.command, second.tail) == ("build-detector", 1e-10)
+        assert second.func is cli._cmd_build_detector
+        assert not any(hasattr(second, name) for name in ("kind", "mean", "format"))
+
 
 class TestExitCodes:
     def test_missing_config_is_2(self, tmp_path, capsys):
@@ -420,7 +444,10 @@ class TestExitCodes:
         assert err["error"] == "NegativeProbabilityError"
         assert err["message"] == "negative probability -0.1 at index 1"
 
-    def test_non_finite_matrix_rejected_before_solve(self, tmp_path, capsys):
+    @staticmethod
+    def reconstruct_with_bad_entry(tmp_path, capsys, value):
+        """reconstruct on a detector file whose entry (4, 2) is ``value``:
+        the exit code and the error record."""
         det = tmp_path / "S.json"
         counts = tmp_path / "P.json"
         assert run_cli(
@@ -428,7 +455,7 @@ class TestExitCodes:
             "--n-max", "3", "--m-max", "5", "--output", str(det),
         ) == 0
         payload = json.loads(det.read_text())
-        payload["entries"][4][2] = float("nan")
+        payload["entries"][4][2] = value
         det.write_text(json.dumps(payload))  # json writes the NaN token
         distio.write_distribution(counts, [0.5, 0.2, 0.2, 0.1, 0.0, 0.0])
         capsys.readouterr()
@@ -440,13 +467,24 @@ class TestExitCodes:
             "--output", str(tmp_path / "p.json"),
             "--report", str(tmp_path / "report.json"),
         )
-        assert code == 2
         assert not (tmp_path / "p.json").exists()
         assert not (tmp_path / "report.json").exists()
-        err = json.loads(capsys.readouterr().err)
+        return code, json.loads(capsys.readouterr().err)
+
+    def test_non_finite_matrix_rejected_before_solve(self, tmp_path, capsys):
+        code, err = self.reconstruct_with_bad_entry(tmp_path, capsys, float("nan"))
+        assert code == 2
         assert err["stage"] == "reconstruct"
         assert err["error"] == "ParseError"
         assert "non-finite entry nan at (m, n) = (4, 2)" in err["message"]
+
+    def test_negative_matrix_entry_rejected_before_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve", None)  # a call would raise TypeError
+        code, err = self.reconstruct_with_bad_entry(tmp_path, capsys, -1e-3)
+        assert code == 2
+        assert err["stage"] == "reconstruct"
+        assert err["error"] == "ParseError"
+        assert "negative entry -0.001 at (m, n) = (4, 2)" in err["message"]
 
     def test_non_integral_events_rejected_before_run(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -492,19 +492,24 @@ class TestSuggestMMax:
     )
     # the reference's 1 - cum at m = 3 is 1.03e-16 below the tail: 3 against 4
     @example(eta=0.9999999999999999, n_noise=1e-10, n_max=3, tail=1e-10)
+    # the reference's 1 - cum at m = 11 is 1.77e-15 off the tail, as
+    # response_entry(11, 11) is 0.9999999999000018; the 50-digit
+    # remaining mass is 5e-21 from it: 12 against 11
+    @example(eta=1.0, n_noise=1e-10, n_max=11, tail=1e-10)
     def test_small_windows_match_scalar_reference(self, eta, n_noise, n_max, tail):
-        # The two sum the column in different orders, so where the
-        # reference's remaining mass 1 - cum lands within 4 eps of the tail
+        # The two sum the column in different orders, so where the true
+        # remaining mass 1 - cum (50 digits) lands within 4 eps of the tail
         # one rounding decides the window: there they may differ by one.
         params = DetectorParams(eta, n_noise)
         got = suggest_m_max(params, n_max, tail)
         want = suggest_m_max_reference(params, n_max, tail)
         if got != want:
             assert abs(got - want) == 1, (got, want)
-            cum = 0.0
-            for m in range(min(got, want) + 1):  # in order, as the reference sums
-                cum += response_entry(params, m, n_max)
-            assert abs(1.0 - cum - tail) <= 4 * np.finfo(float).eps, (got, want, 1.0 - cum)
+            low, size = min(got, want), max(got, want, n_max)
+            rest = 1 - mp.fsum(
+                thinning_oracle(params, m, n_max, size) for m in range(low + 1)
+            )
+            assert abs(rest - tail) <= 4 * np.finfo(float).eps, (got, want, rest)
 
     @pytest.mark.parametrize(
         "config,m_max",
@@ -581,12 +586,14 @@ class TestResponseMatrix:
         with pytest.raises(ValueError, match=f"2-d matrix, got shape {shape}"):
             ResponseMatrix(entries, DetectorParams(0.9, 0.1))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, -5e-324])
     def test_non_finite_entry_rejected(self, value):
+        # a negative entry too: the norm bound behind the default chi needs S >= 0
         entries = np.full((5, 3), 0.1)
         entries[4, 2] = value
+        word = "negative" if math.isfinite(value) else "non-finite"
         with pytest.raises(
-            ValueError, match=rf"non-finite entry {value!r} at \(m, n\) = \(4, 2\)$"
+            ValueError, match=rf"{word} entry {value!r} at \(m, n\) = \(4, 2\)$"
         ):
             ResponseMatrix(entries, DetectorParams(0.9, 0.1))
 
@@ -609,14 +616,15 @@ class TestResponseMatrix:
 
     def test_writable_again_entries_are_rechecked(self):
         mat = build_response(DetectorParams(0.5, 0.1), 3, 4)
-        mat.sigma_max_sq
         mat.entries.flags.writeable = True
         mat.entries[4, 0] = 0.0
         assert mat.col_tail[0] == 1.0 - mat.entries[:, 0].sum()
-        mat.entries[1, 1] = math.nan
-        for use in (lambda m: m.col_tail, lambda m: m.sigma_max_sq):
-            with pytest.raises(ValueError, match=r"non-finite entry nan at \(m, n\) = \(1, 1\)"):
-                use(mat)
+        for bad, word in ((-0.25, "negative"), (math.nan, "non-finite")):
+            mat.entries[1, 1] = bad
+            for use in (lambda m: m.col_tail, lambda m: m.norm_bound_sq):
+                message = rf"{word} entry {bad!r} at \(m, n\) = \(1, 1\)"
+                with pytest.raises(ValueError, match=message):
+                    use(mat)
 
 
 def array_holding_records():
