@@ -98,7 +98,9 @@ class ResponseMatrix:
 
     def _derive(self) -> None:  # check the entries, set col_tail and norm_bound_sq
         entries = self.entries
-        sums = entries.sum(axis=0)  # non-finite in every column holding a NaN or inf
+        with np.errstate(over="ignore"):  # finite entries may overflow a sum
+            sums = entries.sum(axis=0)  # non-finite in every column holding a NaN or inf
+            rows = entries.sum(axis=1)
         bad = () if np.isfinite(sums).all() else np.argwhere(~np.isfinite(entries))
         if len(bad):  # none if finite entries merely overflowed a sum
             m, n = bad[0].tolist()
@@ -111,8 +113,8 @@ class ResponseMatrix:
                 f"negative entry {float(entries[m, n])!r} at (m, n) = ({m}, {n})"
             )
         object.__setattr__(self, "_col_tail", np.maximum(0.0, 1.0 - sums))
-        bound = sums.max(initial=0.0) * entries.sum(axis=1).max(initial=0.0)
-        object.__setattr__(self, "_norm_bound_sq", float(bound))
+        bound = float(sums.max(initial=0.0)) * float(rows.max(initial=0.0))
+        object.__setattr__(self, "_norm_bound_sq", bound)
 
     @property
     def m_max(self) -> int:
@@ -131,7 +133,7 @@ class ResponseMatrix:
     @property
     def norm_bound_sq(self) -> float:
         """(max column sum) * (max row sum) >= sigma_max(S)^2; 0 only for a
-        zero matrix."""
+        zero matrix, inf if the product leaves the double range."""
         if self.entries.flags.writeable:
             self._derive()
         return self._norm_bound_sq

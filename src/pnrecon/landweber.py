@@ -17,14 +17,12 @@ windows, up to 2.1 times it on the hand-built test matrices far from
 column-stochastic, where the loop takes proportionally more steps. A
 masked solve iterates on the support columns of S only, sliced once, and
 scatters the estimate back with the pinned entries +0.0; chi still comes
-from the full S. Step j writes its iterate into row j % 32 of a ring, the
-row before it being the previous iterate; the residual norms and masses
-of a lap of 32 steps are flushed into the histories in one vectorized
-pass, bit for bit what per-step appends give, and the report holds the
-histories without a copy. The iteration count regularizes: on noisy data
-the iterates first approach and then drift away from the truth, so the
-solver stops at the noise level (discrepancy principle) given a noise
-estimate.
+from the full S. The loop swaps two iterate buffers every step and
+appends each step's residual norm and mass to the histories, which the
+report holds without a copy. The iteration count regularizes: on noisy
+data the iterates first approach and then drift away from the truth, so
+the solver stops at the noise level (discrepancy principle) given a
+noise estimate.
 
 Exact data (noise_level == 0) have nothing to regularize, and on an
 ill-conditioned window the loop only creeps towards the constrained
@@ -58,7 +56,6 @@ __all__ = [
     "solve",
 ]
 
-_LAP = 32  # ring rows: iterates between two history flushes
 _EXACT_RTOL = 1e-12  # misfit, relative to ||data||, an exact solve must reach
 
 
@@ -158,10 +155,10 @@ class SolveReport:
     normalization_history[j] is the total mass of that iterate (useful as
     an accuracy track since the true distribution sums to one, while the
     projection deliberately does not enforce it). Both histories are
-    filled once per lap of the solver's ring of iterates and are views of
-    its history buffers, not copies. stop_reason is "discrepancy",
-    "stagnation", "max_iterations", or "exact" for the clipped
-    least-squares solve of exact data, with no iterations run.
+    views of the buffers the solver appends to every step, not copies.
+    stop_reason is "discrepancy", "stagnation", "max_iterations", or
+    "exact" for the clipped least-squares solve of exact data, with no
+    iterations run.
     """
 
     estimate: np.ndarray
@@ -199,18 +196,11 @@ def project(v: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
     return np.where(mask, np.maximum(v, 0.0), 0.0)
 
 
-def _flush(residuals, masses, sq, ring, n):
-    """Append the histories of the first n ring rows: sqrt is IEEE, as in
-    math.sqrt, and each row sum is the pairwise sum that new.sum() takes."""
-    residuals.frombytes(np.sqrt(sq[:n]).tobytes())
-    masses.frombytes(np.add.reduce(ring[:n], axis=1).tobytes())
-
-
 def _scatter(values, support, cols):
-    """The support entries ``values`` as a new full-length vector (not a
-    view that keeps the ring alive), the pinned entries +0.0."""
+    """The support entries ``values`` as a full-length vector, the pinned
+    entries +0.0; ``values`` itself when every column is in the support."""
     if support is None:
-        return values.copy()
+        return values
     estimate = np.zeros(cols)
     estimate[support] = values
     return estimate
@@ -282,6 +272,11 @@ def solve(
     bound = mat.norm_bound_sq
     if bound == 0.0:
         raise ValueError("matrix has zero norm; cannot pick a stepsize")
+    if not 0.0 < 2.0 / bound < math.inf:  # bound or 2/bound leaves the double range
+        raise ValueError(
+            f"matrix norm bound {bound!r} leaves no finite convergence "
+            "interval (0, 2/bound); cannot pick a stepsize"
+        )
     chi = 1.0 / bound if config.chi is None else config.chi
     if chi >= 2.0 / bound:
         raise RelaxationBoundError(
@@ -320,45 +315,33 @@ def solve(
     threshold = config.discrepancy_tau * config.noise_level
     discrepancy = config.noise_level > 0.0
     tol = config.stagnation_tol
-    # step j writes ring row j % lap, and the row before it is p; the
-    # histories of a lap are flushed in one go before its rows are reused
-    lap = min(_LAP, config.max_iterations)
-    ring, sq = np.empty((lap, p.size)), np.empty(lap)
-    slots = list(ring)
-    grad, r = np.empty(p.size), np.empty(rows)
-    chi_0d, zero_0d = np.array(chi), np.array(0.0)  # no scalar conversion per call
-    dot, multiply, subtract, maximum = np.dot, np.multiply, np.subtract, np.maximum
+    grad, new, r = np.empty(p.size), np.empty(p.size), np.empty(rows)
     adjoint = matrix.T  # a view: no transposed copy
-    dot(matrix, p, r)
-    subtract(r, data, r)
-    i = -1
+    np.dot(matrix, p, out=r)
+    r -= data
     for j in range(config.max_iterations):
-        i += 1
-        new = slots[i]
-        dot(adjoint, r, grad)
-        multiply(grad, chi_0d, grad)
-        subtract(p, grad, new)
-        maximum(new, zero_0d, out=new)  # project() in place
-        dot(matrix, new, r)
-        subtract(r, data, r)
-        sq[i] = d = dot(r, r)
-        if discrepancy and math.sqrt(d) <= threshold:
+        np.dot(adjoint, r, out=grad)
+        grad *= chi
+        np.subtract(p, grad, out=new)
+        np.maximum(new, 0.0, out=new)  # project() in place
+        p, new = new, p  # p is the iterate, new the one before it
+        np.dot(matrix, p, out=r)
+        r -= data
+        residual = math.sqrt(r @ r)
+        residuals.append(residual)
+        masses.append(p.sum())
+        if discrepancy and residual <= threshold:
             stop_reason = "discrepancy"
             break
         if tol > 0.0:
-            step = subtract(new, p, grad)
-            scale = max(math.sqrt(new @ new), 1e-300)
+            step = np.subtract(p, new, out=grad)
+            scale = max(math.sqrt(p @ p), 1e-300)
             if math.sqrt(step @ step) <= tol * scale:
                 stop_reason = "stagnation"
                 break
-        p = new
-        if i == lap - 1:
-            _flush(residuals, masses, sq, ring, lap)
-            i = -1
-    _flush(residuals, masses, sq, ring, i + 1)
 
     return SolveReport(
-        estimate=_scatter(new, support, cols),
+        estimate=_scatter(p, support, cols),
         iterations_run=j + 1,
         residual_history=np.frombuffer(residuals),
         normalization_history=np.frombuffer(masses),

@@ -486,6 +486,33 @@ class TestExitCodes:
         assert err["error"] == "ParseError"
         assert "negative entry -0.001 at (m, n) = (4, 2)" in err["message"]
 
+    def test_matrix_norm_bound_overflow_is_2(self, tmp_path, capsys):
+        det = tmp_path / "S.json"
+        counts = tmp_path / "P.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--m-max", "5", "--output", str(det),
+        ) == 0
+        payload = json.loads(det.read_text())
+        det.write_text(json.dumps({**payload, "entries": [[1e308] * 4] * 6}))
+        distio.write_distribution(counts, [0.5, 0.2, 0.2, 0.1, 0.0, 0.0])
+        capsys.readouterr()
+        code = run_cli(
+            "reconstruct",
+            "--detector", str(det),
+            "--counts", str(counts),
+            "--events", "1000",
+            "--output", str(tmp_path / "p.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "p.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "reconstruct"
+        assert err["message"] == (
+            "matrix norm bound inf leaves no finite convergence interval "
+            "(0, 2/bound); cannot pick a stepsize"
+        )
+
     def test_non_integral_events_rejected_before_run(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "out"

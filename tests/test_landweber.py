@@ -21,7 +21,6 @@ from pnrecon.detector import (
 from pnrecon import detector, distio, landweber
 from pnrecon.landweber import (
     _EXACT_RTOL,
-    _LAP,
     ConstraintSet,
     LandweberConfig,
     RelaxationBoundError,
@@ -104,8 +103,9 @@ def pinned_reference(entries, data, chi, mask, config):
 
 
 def per_step_reference(mat, counts, constraints, config):
-    """The solver with its histories appended every step and two iterate
-    buffers swapped, kept as a bitwise reference for the ring of iterates."""
+    """The solver written out step by step, with its histories appended
+    every step and two iterate buffers swapped: the bitwise reference for
+    solve."""
     matrix = mat.entries
     rows, cols = matrix.shape
     data = detector.zero_pad(counts, rows, "count vector", "matrix rows")
@@ -175,7 +175,7 @@ def assert_same_report(got, want):
     for name in ("estimate", "residual_history", "normalization_history"):
         # bytes, so that the sign of a zero counts too
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.estimate.flags.owndata  # not a view that pins the ring
+    assert got.estimate.flags.owndata  # not a view that pins a larger buffer
 
 
 def cat_window():
@@ -342,6 +342,20 @@ class TestAutoChi:
             solve(mat, np.full(4, 0.25),
                   config=LandweberConfig(chi=chi))
 
+    @pytest.mark.parametrize(
+        "entries, bound",
+        [([[1e308, 0.5], [1e308, 0.5]], "inf"), (np.full((3, 3), 1e-160), "9e-320")],
+        ids=["overflow", "subnormal"],
+    )
+    @pytest.mark.parametrize("chi", [None, 0.5], ids=["auto-chi", "given-chi"])
+    def test_bound_outside_the_double_range_rejected(self, entries, bound, chi):
+        # an inf bound leaves (0, 0), a subnormal one (0, inf), for chi
+        mat = plain_matrix(entries)
+        assert repr(mat.norm_bound_sq) == bound
+        with pytest.raises(ValueError, match=f"matrix norm bound {bound} leaves no finite") as info:
+            solve(mat, np.full(len(entries), 0.25), config=LandweberConfig(chi=chi))
+        assert type(info.value) is ValueError
+
 
 class TestReadOnlyEntries:
     def test_solved_matrix_is_not_kept_alive(self):
@@ -386,7 +400,8 @@ class TestReadOnlyEntries:
 
 
 def random_problem(seed, masked):
-    """A 20 x 15 matrix, noisy data and a constraint set, for the ring tests."""
+    """A 20 x 15 matrix, noisy data and a constraint set, for the per-step
+    tests."""
     rng = np.random.default_rng(seed)
     entries = rng.uniform(0.0, 1.0, size=(20, 15))
     data = entries @ rng.uniform(0.0, 1.0, size=15)
@@ -395,16 +410,14 @@ def random_problem(seed, masked):
     return plain_matrix(entries), data, ConstraintSet(mask)
 
 
-class TestRingOfIterates:
-    """The solver against the per-step reference, bit for bit, around the
-    lap boundaries where the histories are flushed."""
+class TestPerStepReference:
+    """The solver against the per-step reference, bit for bit, over short
+    and longer runs and stops at several steps."""
 
-    @pytest.mark.parametrize(
-        "max_iterations", [1, _LAP - 1, _LAP, _LAP + 1, 2 * _LAP + 3]
-    )
+    @pytest.mark.parametrize("max_iterations", [1, 31, 32, 33, 67])
     @pytest.mark.parametrize("masked", [False, True], ids=["nonneg", "masked"])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    def test_max_iterations_around_a_lap(self, max_iterations, masked, warm):
+    def test_max_iterations(self, max_iterations, masked, warm):
         mat, counts, constraints = random_problem(31, masked)
         initial = np.random.default_rng(4).normal(size=15) if warm else None
         config = LandweberConfig(
@@ -415,13 +428,12 @@ class TestRingOfIterates:
         assert_same_report(got, per_step_reference(mat, counts, constraints, config))
 
     @pytest.mark.parametrize(
-        "stop_at", [_LAP, _LAP + 1, 2 * _LAP, 2 * _LAP + 1],
-        ids=["lap-end", "next-lap-start", "second-lap-end", "third-lap-start"],
+        "stop_at", [32, 33, 64, 65], ids=["step-32", "step-33", "step-64", "step-65"]
     )
     @pytest.mark.parametrize("stop", ["discrepancy", "stagnation"])
     @pytest.mark.parametrize("masked", [False, True], ids=["nonneg", "masked"])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    def test_stop_on_either_side_of_a_flush(self, stop_at, stop, masked, warm):
+    def test_stop_at_a_given_step(self, stop_at, stop, masked, warm):
         mat, counts, constraints = random_problem(31, masked)
         initial = np.random.default_rng(4).normal(size=15) if warm else None
         if stop == "discrepancy":
@@ -457,14 +469,14 @@ class TestRingOfIterates:
         mat, counts = run_window(name)
         constraints = (ConstraintSet.even_support(mat.n_max + 1)
                        if name == "cat_fig4" else ConstraintSet.nonnegative())
-        config = LandweberConfig(max_iterations=2 * _LAP + 3, stagnation_tol=0.0)
+        config = LandweberConfig(max_iterations=67, stagnation_tol=0.0)
         if stop == "stagnation":
             config = LandweberConfig(max_iterations=20_000, stagnation_tol=1e-5)
         elif stop == "discrepancy":
             level = per_step_reference(mat, counts, constraints, config).residual_history
-            config = LandweberConfig(noise_level=level[_LAP], discrepancy_tau=1.0)
+            config = LandweberConfig(noise_level=level[32], discrepancy_tau=1.0)
         got = solve(mat, counts, constraints, config)
-        assert got.stop_reason == stop and got.iterations_run > _LAP
+        assert got.stop_reason == stop and got.iterations_run > 32
         assert_same_report(got, per_step_reference(mat, counts, constraints, config))
 
 
@@ -499,7 +511,7 @@ class TestExactSolve:
             entries = np.eye(6)
             data = truth - 0.75  # a negative count the cone cannot reproduce
         constraints = ConstraintSet(np.array([1, 1, 1, 1, 1, 0], bool) if masked else None)
-        config = LandweberConfig(max_iterations=2 * _LAP + 3, stagnation_tol=0.0)
+        config = LandweberConfig(max_iterations=67, stagnation_tol=0.0)
         mat = plain_matrix(entries)
         got = solve(mat, data, constraints, config)
         assert got.stop_reason == "max_iterations"
@@ -559,7 +571,7 @@ class TestExactSolve:
             raise AssertionError("least squares on a wide window")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        config = LandweberConfig(max_iterations=_LAP + 1, stagnation_tol=0.0)
+        config = LandweberConfig(max_iterations=33, stagnation_tol=0.0)
         got = solve(mat, exact, config=config)
         assert got.stop_reason == "max_iterations"
         assert_same_report(got, per_step_reference(mat, exact, ConstraintSet(None), config))
@@ -760,14 +772,17 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the two 5000-entry histories, returned without a copy, and a
-        # 32-row ring of iterates
+        # exact data on a tall full-rank support take the exact solve
+        # (44 KB); 5000 loop steps would peak at 0.10 MB, nearly all the two
+        # 5000-entry histories, returned without a copy
         assert peak < 1.5e5
 
-    def test_thermal_window_ring_is_sized_by_the_lap(self):
-        # a ring of max_iterations rows of 703 entries would be 562 MB
+    def test_thermal_window_discrepancy_stop_peak_memory(self):
+        # 26 KB: nothing is sized by the default max_iterations, only two
+        # 703-entry iterate buffers and the 67-entry histories grow; 32
+        # preallocated rows of iterates alone would be 180 KB
         mat, counts = run_window("thermal_fig1")
-        free = solve(mat, counts, config=LandweberConfig(max_iterations=2 * _LAP + 3))
+        free = solve(mat, counts, config=LandweberConfig(max_iterations=67))
         config = LandweberConfig(
             max_iterations=100_000, noise_level=free.residual_history[-1],
             discrepancy_tau=1.0,
@@ -779,7 +794,7 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert report.stop_reason == "discrepancy"
-        assert peak < 5e5
+        assert peak < 6e4
 
     def test_iterates_respect_constraints(self):
         dist = thermal(4, 1e-8)
