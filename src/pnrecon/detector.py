@@ -99,7 +99,7 @@ class ResponseMatrix:
     def _derive(self) -> None:  # check the entries, set col_tail and norm_bound_sq
         entries = self.entries
         with np.errstate(over="ignore"):  # finite entries may overflow a sum
-            sums = entries.sum(axis=0)  # non-finite in every column holding a NaN or inf
+            sums = entries.sum(axis=0)  # non-finite in each column with a NaN or inf
             rows = entries.sum(axis=1)
         bad = () if np.isfinite(sums).all() else np.argwhere(~np.isfinite(entries))
         if len(bad):  # none if finite entries merely overflowed a sum

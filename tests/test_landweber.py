@@ -352,7 +352,8 @@ class TestAutoChi:
         # an inf bound leaves (0, 0), a subnormal one (0, inf), for chi
         mat = plain_matrix(entries)
         assert repr(mat.norm_bound_sq) == bound
-        with pytest.raises(ValueError, match=f"matrix norm bound {bound} leaves no finite") as info:
+        message = f"matrix norm bound {bound} leaves no finite"
+        with pytest.raises(ValueError, match=message) as info:
             solve(mat, np.full(len(entries), 0.25), config=LandweberConfig(chi=chi))
         assert type(info.value) is ValueError
 
@@ -778,9 +779,9 @@ class TestSolve:
         assert peak < 1.5e5
 
     def test_thermal_window_discrepancy_stop_peak_memory(self):
-        # 26 KB: nothing is sized by the default max_iterations, only two
-        # 703-entry iterate buffers and the 67-entry histories grow; 32
-        # preallocated rows of iterates alone would be 180 KB
+        # 26 KB: two 703-entry iterate buffers and the 67-entry histories;
+        # nothing is sized by max_iterations, and 32 rows of iterates alone
+        # would be 180 KB
         mat, counts = run_window("thermal_fig1")
         free = solve(mat, counts, config=LandweberConfig(max_iterations=67))
         config = LandweberConfig(
