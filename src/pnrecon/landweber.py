@@ -209,7 +209,7 @@ def _scatter(values, support, cols):
 def _least_squares(a, b):
     """min ||a x - b|| by SVD, or None if a's rank is short of its column
     count (by np.linalg.lstsq's default cutoff). One step of iterative
-    refinement brings the misfit down to the rounding of the data: on the
+    refinement takes the misfit down to the rounding of the data: on the
     cat window 1.4e-15 -> 1.5e-16 relative, 1.5e-8 -> 6.6e-9 error."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if not s[-1] > max(a.shape) * np.finfo(float).eps * s[0]:
