@@ -12,7 +12,6 @@ version.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -54,9 +53,10 @@ class ConfigError(ValueError):
     """An experiment config is missing, malformed, or inconsistent."""
 
 
-def _state_call(spec: dict):
-    """The builder a state spec names (looked up at call time) and the
-    spec's other keys bound to its parameters."""
+def build_state(spec: dict) -> states.PhotonDistribution:
+    """The photon distribution a state spec describes, e.g.
+    ``{"kind": "thermal", "mean_n": 30.0, "tail": 1e-10}``; the builder is
+    looked up in ``states`` at call time."""
     args = dict(spec)
     kind = args.pop("kind", None)
     if kind not in _STATE_KINDS:
@@ -65,19 +65,9 @@ def _state_call(spec: dict):
         )
     builder = getattr(states, "from_file" if kind == "file" else kind)
     try:
-        return builder, inspect.signature(builder).bind(**args)
+        return builder(**args)
     except TypeError as exc:
         raise ConfigError(f"invalid state {kind!r}: {exc}") from exc
-
-
-def build_state(spec: dict) -> states.PhotonDistribution:
-    """The photon distribution a state spec describes, e.g.
-    ``{"kind": "thermal", "mean_n": 30.0, "tail": 1e-10}``."""
-    builder, bound = _state_call(spec)
-    try:
-        return builder(*bound.args, **bound.kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid state {spec}: {exc}") from exc
 
 
 def solver_config(options: dict, counts=None, events=None) -> LandweberConfig:
@@ -101,57 +91,60 @@ def _check_keys(what: str, mapping: dict, allowed) -> None:
         raise ConfigError(f"unknown {what} keys {unknown}; expected {list(allowed)}")
 
 
-def _check_support(support) -> None:
-    if support not in (None, "even") and not (
-        isinstance(support, list)
-        and all(_require_integer("support", n) >= 0 for n in support)
-    ):
-        raise ConfigError(
-            'constraints.support must be null, "even" or a list of photon '
-            f"numbers, got {support!r}"
-        )
-
-
 def constraint_set(support, size: int) -> ConstraintSet:
     """Constraints on photon numbers 0..size-1 for constraints.support:
     nonnegativity (None), plus zeros at odd n ("even") or off a list."""
-    _check_support(support)
     if support is None:
         return ConstraintSet.nonnegative()
     if support == "even":
         return ConstraintSet.even_support(size)
-    if max(support, default=0) >= size:
+    if not isinstance(support, list):
         raise ConfigError(
-            f"support photon number {max(support)} is outside 0..{size - 1}"
+            'constraints.support must be null, "even" or a list of photon '
+            f"numbers, got {support!r}"
+        )
+    numbers = [_require_integer("support", n) for n in support]
+    outside = [n for n in numbers if not 0 <= n < size]
+    if outside:
+        raise ConfigError(
+            f"support photon number {outside[0]} is outside 0..{size - 1}"
         )
     mask = np.zeros(size, dtype=bool)
-    mask[support] = True
+    mask[numbers] = True
     return ConstraintSet(mask)
 
 
 @contextmanager
 def _stage(name: str):
-    """Tag exceptions with the pipeline stage they came from."""
+    """Tag exceptions with the pipeline stage they came from; an OSError
+    carries the tag in its strerror and keeps its errno in args[0]."""
     try:
         yield
     except Exception as exc:
-        detail = exc.args[0] if exc.args else str(exc)
-        exc.args = (f"[stage: {name}] {detail}",) + tuple(exc.args[1:])
+        tag = f"[stage: {name}]"
+        if isinstance(exc, OSError) and exc.strerror:
+            exc.strerror = f"{tag} {exc.strerror}"
+        else:
+            detail = exc.args[0] if exc.args else str(exc)
+            exc.args = (f"{tag} {detail}",) + tuple(exc.args[1:])
         raise
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated experiment description; ``raw`` is the effective config
-    dict (seed already resolved) that provenance hashes are taken over."""
+    """Validated experiment description, built once from the config dict:
+    ``photon`` is the state it names (a file state is read here) and
+    ``constraints`` the solver's constraint set on that state's window.
+    ``raw`` is the effective config dict (seed already resolved) that
+    provenance hashes are taken over."""
 
     name: str
-    state: dict
+    photon: states.PhotonDistribution
     detector_true: DetectorParams
     detector_assumed: DetectorParams
     sampling: SamplingConfig | None
     solver: dict
-    support: object
+    constraints: ConstraintSet
     window_tail: float
     m_max: int | None
     direct_inversion: bool
@@ -161,11 +154,10 @@ class ExperimentConfig:
     def from_dict(cls, payload: dict, seed=None) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise ConfigError("config must be a JSON object")
-        data = json.loads(json.dumps(payload))  # deep copy, JSON-clean
-        _check_keys("config", data, _CONFIG_KEYS)
         try:
-            state = dict(data["state"])
-            _state_call(state)  # kind and keys; run_experiment builds it
+            data = json.loads(json.dumps(payload))  # deep copy, JSON-clean
+            _check_keys("config", data, _CONFIG_KEYS)
+            photon = build_state(data["state"])
             det_true = DetectorParams(**data["detector_true"])
             det_assumed = DetectorParams(**data["detector_assumed"])
             if data.get("sampling") is None:
@@ -186,10 +178,9 @@ class ExperimentConfig:
                     data["sampling"] = {**sampling_args, "seed": sampling.seed}
             solver = dict(data.get("solver", {}))
             solver_config(solver)
-            constraints = dict(data.get("constraints", {}))
-            _check_keys("constraints", constraints, ("support",))
-            support = constraints.get("support")
-            _check_support(support)
+            options = dict(data.get("constraints", {}))
+            _check_keys("constraints", options, ("support",))
+            constraints = constraint_set(options.get("support"), photon.n_max + 1)
             window_tail = _require_real("window_tail", data.get("window_tail", 1e-10))
             if not (0.0 < window_tail < 1.0):
                 raise ConfigError(f"window_tail must be in (0, 1), got {window_tail}")
@@ -203,16 +194,16 @@ class ExperimentConfig:
                 )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OSError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(
             name=str(data.get("name", "experiment")),
-            state=state,
+            photon=photon,
             detector_true=det_true,
             detector_assumed=det_assumed,
             sampling=sampling,
             solver=solver,
-            support=support,
+            constraints=constraints,
             window_tail=window_tail,
             m_max=m_max,
             direct_inversion=direct_inversion,
@@ -262,8 +253,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
         "package": f"pnrecon {__version__}",
     }
 
-    with _stage("state"):
-        photon = build_state(config.state)
+    photon = config.photon
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("detector"):
@@ -283,8 +273,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
         mat_assumed = build_response(config.detector_assumed, n_max, m_max)
         events = config.sampling.events if config.sampling else None
         solver = solver_config(config.solver, counts_emp, events)
-        constraints = constraint_set(config.support, n_max + 1)
-        report = solve(mat_assumed, counts_emp, constraints, solver)
+        report = solve(mat_assumed, counts_emp, config.constraints, solver)
     with _stage("metrics"):
         figures = {
             "relative_error": relative_error(report.estimate, photon.probs),
@@ -311,7 +300,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
             out / "photon_true.json",
             photon.probs,
             metadata={
-                "state": config.state,
+                "state": config.raw["state"],
                 "truncation_tail": photon.truncation_tail,
                 "provenance": provenance,
             },

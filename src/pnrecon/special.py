@@ -38,6 +38,7 @@ def _log_fact(n: int) -> float:
 
 
 _log_fact_cache = np.array([_log_fact(i) for i in range(128)])
+_log_fact_cache.flags.writeable = False  # callers get views of the cache
 
 
 def log_factorial_table(n_max: int) -> np.ndarray:
@@ -46,6 +47,7 @@ def log_factorial_table(n_max: int) -> np.ndarray:
     if n_max >= _log_fact_cache.size:
         size = max(n_max + 1, 2 * _log_fact_cache.size)
         _log_fact_cache = np.array([_log_fact(i) for i in range(size)])
+        _log_fact_cache.flags.writeable = False
     return _log_fact_cache[: n_max + 1]
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import pnrecon
-from pnrecon import cli, distio
+from pnrecon import cli, distio, experiment
 from pnrecon.cli import main
 from pnrecon.detector import DetectorParams
 from pnrecon.experiment import (
@@ -558,6 +559,7 @@ class TestExitCodes:
             {"state": {"kind": "thermal", "mean_n": True}},
             {"constraints": {"support": [0, True]}},
             {"constraints": {"support": [0, 2.0]}},
+            {"state": {"kind": "thermal", "mean_n": -1.0}},
         ],
         ids=[
             "state-key-missing",
@@ -587,6 +589,7 @@ class TestExitCodes:
             "mean-n-bool",
             "support-bool",
             "support-integral-float",
+            "state-value-negative",
         ],
     )
     def test_malformed_config_is_2_before_any_output(
@@ -678,6 +681,59 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"state": {"kind": "warp"}}))
         assert run_cli("run", "--config", str(cfg)) == 2
 
+    def test_support_outside_window_is_2_before_any_response_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(experiment, "build_response", None)  # a call raises
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        cfg.write_text(
+            json.dumps({**SMALL_CONFIG, "constraints": {"support": [0, 5000]}})
+        )
+        capsys.readouterr()
+        code = run_cli("run", "--config", str(cfg), "--output", str(out))
+        assert code == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        n_max = build_state(SMALL_CONFIG["state"]).n_max
+        assert f"support photon number 5000 is outside 0..{n_max}" in err["message"]
+
+    def test_file_state_short_of_mass_is_2_at_load(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        distio.write_distribution(state, [0.25, 0.25])
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        cfg.write_text(
+            json.dumps({**SMALL_CONFIG, "state": {"kind": "file", "path": str(state)}})
+        )
+        capsys.readouterr()
+        code = run_cli("run", "--config", str(cfg), "--output", str(out))
+        assert code == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "probabilities sum to 0.5" in err["message"]
+
+    def test_deep_copy_failure_is_config_error(self):
+        with pytest.raises(ConfigError, match="int64 is not JSON serializable"):
+            ExperimentConfig.from_dict({**SMALL_CONFIG, "m_max": np.int64(300)})
+
+    def test_os_error_keeps_its_errno_and_gets_the_stage(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        (out / "photon_true.json").mkdir(parents=True)
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--output", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IsADirectoryError"
+        assert "[stage: output]" in err["message"]
+        with pytest.raises(IsADirectoryError) as caught:
+            run_experiment(ExperimentConfig.from_dict(SMALL_CONFIG), out)
+        assert caught.value.args[0] == errno.EISDIR
+        assert "[stage: output]" in str(caught.value)
+
 
 class TestRunExperiment:
     @pytest.mark.parametrize(
@@ -744,6 +800,24 @@ class TestRunExperiment:
         for name in names:
             assert (a / name).exists(), name
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_file_state_matches_the_thermal_kind(self, tmp_path):
+        state = tmp_path / "state.json"
+        assert run_cli(
+            "gen-state", "thermal", "--mean", "5", "--tail", "1e-8",
+            "--output", str(state),
+        ) == 0
+        file_spec = {"kind": "file", "path": str(state)}
+        probs = []
+        for spec in (SMALL_CONFIG["state"], file_spec):
+            cfg = tmp_path / "cfg.json"
+            out = tmp_path / spec["kind"]
+            cfg.write_text(json.dumps({**SMALL_CONFIG, "state": spec}))
+            assert run_cli("run", "--config", str(cfg), "--output", str(out)) == 0
+            values, metadata = distio.read_distribution(out / "photon_true.json")
+            assert metadata["state"] == spec
+            probs.append(values)
+        assert np.array_equal(probs[0], probs[1])
 
     def test_exact_forward_without_sampling_recovers_the_state(self, tmp_path):
         config = ExperimentConfig.from_dict(

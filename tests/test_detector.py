@@ -21,7 +21,7 @@ from pnrecon.detector import (
     suggest_m_max,
 )
 from pnrecon import distio
-from pnrecon.experiment import build_state, bundled_config_names, load_config
+from pnrecon.experiment import bundled_config_names, load_config
 from pnrecon.landweber import ConstraintSet, LandweberConfig, SolveReport
 from pnrecon.states import PhotonDistribution, fock, thermal
 
@@ -367,7 +367,7 @@ class TestThinningBuild:
         # the layout of the entries picks the BLAS kernel of S @ p: a matrix
         # built in another order gives other bits than its JSON-read copy
         cfg = load_config(config)
-        photon = build_state(cfg.state)
+        photon = cfg.photon
         m_max = suggest_m_max(cfg.detector_assumed, photon.n_max, cfg.window_tail)
         built = build_response(cfg.detector_assumed, photon.n_max, m_max)
         distio.write_matrix(tmp_path / "S.json", built)
@@ -479,7 +479,7 @@ class TestSuggestMMax:
     def test_bundled_configs_match_scalar_reference(self, config, detector):
         cfg = load_config(config)
         params = getattr(cfg, detector)
-        n_max = build_state(cfg.state).n_max
+        n_max = cfg.photon.n_max
         assert suggest_m_max(params, n_max, cfg.window_tail) == (
             suggest_m_max_reference(params, n_max, cfg.window_tail)
         )
@@ -518,7 +518,7 @@ class TestSuggestMMax:
     def test_bundled_run_windows_pinned(self, config, m_max):
         # the window `run` builds: the true detector at the config's tail
         cfg = load_config(config)
-        assert suggest_m_max(cfg.detector_true, build_state(cfg.state).n_max, cfg.window_tail) == m_max
+        assert suggest_m_max(cfg.detector_true, cfg.photon.n_max, cfg.window_tail) == m_max
 
     @pytest.mark.parametrize(
         "eta,noise,n_max,m_max", [(0.34, 0.30, 702, 321), (0.7764, 0.748, 276, 255)],

@@ -760,22 +760,27 @@ class TestSolve:
         assert peak < 5e5
 
     def test_cat_window_masked_solve_peak_memory(self):
-        # one chunk of the gate-6 pattern: 5000 steps on the 64 x 31 support
+        # one chunk of the gate-6 pattern: 5000 steps on the 64 x 31 support;
+        # a positive noise level keeps exact data off the exact solve, and
+        # one this small is never reached
         mat, counts, constraints = cat_window()
         tracemalloc.start()
         try:
-            solve(
+            report = solve(
                 mat,
                 counts,
                 constraints,
-                LandweberConfig(max_iterations=5000, stagnation_tol=0.0),
+                LandweberConfig(
+                    max_iterations=5000, noise_level=1e-300, stagnation_tol=0.0
+                ),
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # exact data on a tall full-rank support take the exact solve
-        # (44 KB); 5000 loop steps would peak at 0.10 MB, nearly all the two
-        # 5000-entry histories, returned without a copy
+        assert report.stop_reason == "max_iterations"
+        assert report.iterations_run == 5000
+        # 0.10 MB measured, nearly all the two 5000-entry histories,
+        # returned without a copy
         assert peak < 1.5e5
 
     def test_thermal_window_discrepancy_stop_peak_memory(self):

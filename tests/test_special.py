@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pnrecon import special
 from pnrecon.special import (
     _KUMMER_MAX_TERMS,
     log_factorial_table,
@@ -202,6 +203,15 @@ class TestLogFactorialTable:
 
     def test_monotone(self):
         assert np.all(np.diff(log_factorial_table(400)) >= 0)
+
+    def test_read_only_before_and_after_growth(self):
+        # every call returns a view of one shared cache
+        for n_max in (5, 2 * special._log_fact_cache.size):
+            table = log_factorial_table(n_max)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] += 1.0
+        assert log_factorial_table(0)[0] == 0.0
 
 
 def test_kummer_overflow_guard():
