@@ -29,7 +29,6 @@ from .landweber import (
     LandweberConfig,
     RelaxationBoundError,
     SolveReport,
-    project,
     solve,
 )
 from .metrics import normalization_defect, relative_error, relative_residual
@@ -52,7 +51,6 @@ __all__ = [
     "LandweberConfig",
     "RelaxationBoundError",
     "SolveReport",
-    "project",
     "solve",
     "normalization_defect",
     "relative_error",

@@ -127,9 +127,9 @@ def write_distribution(path, values, metadata=None, fmt: str = "json") -> None:
     if fmt != "json":
         raise ValueError(f"unknown format {fmt!r}")
     if metadata:
-        payload = {"probs": values}
-        payload.update(metadata)
-        write_json(path, payload)
+        if "probs" in metadata:
+            raise ValueError('metadata key "probs" would replace the values')
+        write_json(path, {"probs": values, **metadata})
     else:
         write_json(path, values)
 

@@ -53,16 +53,19 @@ class ConfigError(ValueError):
     """An experiment config is missing, malformed, or inconsistent."""
 
 
-def build_state(spec: dict) -> states.PhotonDistribution:
+def build_state(spec: dict, base=None) -> states.PhotonDistribution:
     """The photon distribution a state spec describes, e.g.
     ``{"kind": "thermal", "mean_n": 30.0, "tail": 1e-10}``; the builder is
-    looked up in ``states`` at call time."""
+    looked up in ``states`` at call time. A relative ``file`` path is taken
+    from ``base`` if given, else from the working directory."""
     args = dict(spec)
     kind = args.pop("kind", None)
     if kind not in _STATE_KINDS:
         raise ConfigError(
             f"unknown state kind {kind!r}; expected one of {sorted(_STATE_KINDS)}"
         )
+    if kind == "file" and base is not None and "path" in args:
+        args["path"] = Path(base, args["path"])
     builder = getattr(states, "from_file" if kind == "file" else kind)
     try:
         return builder(**args)
@@ -151,13 +154,15 @@ class ExperimentConfig:
     raw: dict
 
     @classmethod
-    def from_dict(cls, payload: dict, seed=None) -> "ExperimentConfig":
+    def from_dict(cls, payload: dict, seed=None, base=None) -> "ExperimentConfig":
+        """Build from a config dict; ``base`` is the directory a relative
+        ``file`` state path is taken from (None: the working directory)."""
         if not isinstance(payload, dict):
             raise ConfigError("config must be a JSON object")
         try:
             data = json.loads(json.dumps(payload))  # deep copy, JSON-clean
             _check_keys("config", data, _CONFIG_KEYS)
-            photon = build_state(data["state"])
+            photon = build_state(data["state"], base)
             det_true = DetectorParams(**data["detector_true"])
             det_assumed = DetectorParams(**data["detector_assumed"])
             if data.get("sampling") is None:
@@ -211,8 +216,13 @@ class ExperimentConfig:
         )
 
     def config_hash(self) -> str:
+        """SHA-256 of the canonical effective config; for a ``file`` state
+        also of the state's values, which the config names only by path."""
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        digest = hashlib.sha256(canonical.encode())
+        if dict(self.raw["state"]).get("kind") == "file":
+            digest.update(self.photon.probs.tobytes())
+        return digest.hexdigest()
 
 
 def bundled_config_names() -> list[str]:
@@ -221,7 +231,8 @@ def bundled_config_names() -> list[str]:
 
 
 def load_config(ref, seed=None) -> ExperimentConfig:
-    """Load a config from a path, or by bundled name (e.g. thermal_fig1)."""
+    """Load a config from a path, or by bundled name (e.g. thermal_fig1);
+    a relative ``file`` state path is taken from the config's directory."""
     path = Path(ref)
     if not path.exists():
         path = resources.files("pnrecon").joinpath(f"configs/{ref}.json")
@@ -234,7 +245,7 @@ def load_config(ref, seed=None) -> ExperimentConfig:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {ref!r}: {exc}") from exc
-    return ExperimentConfig.from_dict(payload, seed=seed)
+    return ExperimentConfig.from_dict(payload, seed=seed, base=path.parent)
 
 
 def run_experiment(config: ExperimentConfig, output_dir) -> dict:

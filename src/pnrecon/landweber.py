@@ -45,14 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import ResponseMatrix, zero_pad
-from .states import _require_finite, _require_integer, _require_real
+from .states import _require_finite, _require_integer, _require_real, _require_vector
 
 __all__ = [
     "ConstraintSet",
     "LandweberConfig",
     "SolveReport",
     "RelaxationBoundError",
-    "project",
     "solve",
 ]
 
@@ -107,7 +106,8 @@ class LandweberConfig:
     solve takes an explicit chi only in (0, 2/bound). noise_level is the
     estimated Euclidean error of the data; zero disables the discrepancy
     stop. stagnation_tol of zero disables the stagnation stop. initial of
-    None starts from the zero vector.
+    None starts from the zero vector; a given initial must be a finite 1-d
+    vector, and solve clips it to the constraint set before the first step.
     """
 
     chi: float | None = None
@@ -137,11 +137,7 @@ class LandweberConfig:
         if self.stagnation_tol < 0.0:
             raise ValueError("stagnation_tol must be nonnegative")
         if self.initial is not None:
-            initial = np.asarray(self.initial, dtype=float)
-            if initial.ndim != 1:
-                raise ValueError(
-                    f"initial must be a 1-d vector, got shape {initial.shape}"
-                )
+            initial = _require_vector(self.initial, "initial")
             if not np.isfinite(initial).all():
                 raise ValueError("initial must be finite")
             object.__setattr__(self, "initial", initial)
@@ -177,23 +173,6 @@ class SolveReport:
             "residual_history": self.residual_history,
             "normalization_history": self.normalization_history,
         }
-
-
-def project(v: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
-    """Exact Euclidean projection onto the constraint set: clip negatives
-    to zero and zero out entries outside the support mask."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"vector to project must be 1-d, got shape {v.shape}")
-    mask = constraints.support_mask
-    if mask is None:
-        return np.maximum(v, 0.0)
-    if mask.size != v.size:
-        raise ValueError(
-            f"support mask of length {mask.size} does not match vector "
-            f"of length {v.size}"
-        )
-    return np.where(mask, np.maximum(v, 0.0), 0.0)
 
 
 def _scatter(values, support, cols):
@@ -247,7 +226,8 @@ def solve(
 ) -> SolveReport:
     """Run the projected Landweber iteration in residual form,
     r_j = S p_j - counts and p_{j+1} = Proj[p_j - chi S^T r_j], from
-    p_0 = 0 or the projected config.initial.
+    p_0 = 0 or config.initial clipped to the constraint set (the loop's
+    own rule: negatives to +0.0, and the entries off the support dropped).
 
     Stops at the first of: (a) ||r_j|| at or below
     discrepancy_tau * noise_level, (b) relative iterate change below
@@ -292,7 +272,7 @@ def solve(
                 f"initial vector of length {config.initial.size} does not "
                 f"match the {cols}-column matrix"
             )
-        p = project(config.initial, constraints)
+        p = np.maximum(config.initial, 0.0)  # pinned entries go with the slice below
 
     # pinned entries stay +0.0 under every step: iterate on the support only
     support = None if mask is None or mask.all() else np.flatnonzero(mask)
@@ -323,7 +303,7 @@ def solve(
         np.dot(adjoint, r, out=grad)
         grad *= chi
         np.subtract(p, grad, out=new)
-        np.maximum(new, 0.0, out=new)  # project() in place
+        np.maximum(new, 0.0, out=new)  # the projection, in place
         p, new = new, p  # p is the iterate, new the one before it
         np.dot(matrix, p, out=r)
         r -= data

@@ -142,7 +142,9 @@ def _truncate_by_mass(term, tail: float) -> PhotonDistribution:
         cum += p
         n += 1
         if n > _WINDOW_CAP:
-            raise RuntimeError("truncation window exceeded sanity cap")
+            raise ValueError(
+                f"truncation window exceeds the sanity cap of {_WINDOW_CAP} entries"
+            )
     return PhotonDistribution(np.array(probs))
 
 

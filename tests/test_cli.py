@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pnrecon
-from pnrecon import cli, distio, experiment
+from pnrecon import cli, distio, experiment, states
 from pnrecon.cli import main
 from pnrecon.detector import DetectorParams
 from pnrecon.experiment import (
@@ -560,6 +560,11 @@ class TestExitCodes:
             {"constraints": {"support": [0, True]}},
             {"constraints": {"support": [0, 2.0]}},
             {"state": {"kind": "thermal", "mean_n": -1.0}},
+            {"state": {"kind": "spats", "mean_n": 0.0}},
+            {"state": {"kind": "even_cat", "alpha_sq": -1.0}},
+            {"constraints": {"support": "odd"}},
+            {"window_tail": 1.5},
+            {"m_max": -1},
         ],
         ids=[
             "state-key-missing",
@@ -590,6 +595,11 @@ class TestExitCodes:
             "support-bool",
             "support-integral-float",
             "state-value-negative",
+            "spats-mean-zero",
+            "cat-alpha-negative",
+            "support-not-a-list",
+            "window-tail-out-of-range",
+            "m-max-negative",
         ],
     )
     def test_malformed_config_is_2_before_any_output(
@@ -675,6 +685,49 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"] == "--chi takes 'auto' or a number, got 'abc'"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "cannot read config"), ("[1, 2]", "config must be a JSON object")],
+        ids=["invalid-json", "not-an-object"],
+    )
+    def test_config_file_not_a_json_object_is_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
+
+    def test_run_time_error_is_tagged_with_its_stage(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "solver": {"chi": 5.0}}))
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RelaxationBoundError"
+        assert err["message"].startswith("[stage: reconstruction] chi=5.0 is outside")
+
+    def test_window_past_the_sanity_cap_is_2(self, tmp_path, capsys, monkeypatch):
+        # it raised RuntimeError, which escaped main with a traceback
+        monkeypatch.setattr(states, "_WINDOW_CAP", 100)
+        capsys.readouterr()
+        code = run_cli("gen-state", "thermal", "--mean", "1e3",
+                       "--output", str(tmp_path / "p.json"))
+        assert code == 2
+        assert not (tmp_path / "p.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "sanity cap of 100" in err["message"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {**SMALL_CONFIG, "state": {"kind": "thermal", "mean_n": 1e3}}))
+        code = run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out"))
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "sanity cap of 100" in err["message"]
 
     def test_invalid_config_payload_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -818,6 +871,37 @@ class TestRunExperiment:
             assert metadata["state"] == spec
             probs.append(values)
         assert np.array_equal(probs[0], probs[1])
+
+    def test_rewritten_state_file_changes_the_hash(self, tmp_path):
+        state = tmp_path / "state.json"
+        config = {**SMALL_CONFIG, "state": {"kind": "file", "path": str(state)}}
+        hashes = []
+        for probs in ([0.5, 0.5], [0.25, 0.75]):
+            distio.write_distribution(state, probs)
+            loaded = ExperimentConfig.from_dict(config)
+            assert loaded.photon.probs.tolist() == probs
+            hashes.append(loaded.config_hash())
+        assert hashes[0] != hashes[1]
+
+    def test_file_state_path_is_taken_from_the_config_directory(
+        self, tmp_path, monkeypatch
+    ):
+        cfgdir = tmp_path / "cfgdir"
+        cfgdir.mkdir()
+        distio.write_distribution(cfgdir / "state.json", [0.25, 0.75])
+        config = {**SMALL_CONFIG, "state": {"kind": "file", "path": "state.json"}}
+        (cfgdir / "cfg.json").write_text(json.dumps(config))
+        loaded = []
+        for cwd, ref in ((tmp_path, "cfgdir/cfg.json"), (cfgdir, "cfg.json")):
+            monkeypatch.chdir(cwd)
+            loaded.append(load_config(ref))
+        assert [c.photon.probs.tolist() for c in loaded] == [[0.25, 0.75]] * 2
+        assert loaded[0].config_hash() == loaded[1].config_hash()
+        assert loaded[0].raw["state"]["path"] == "state.json"
+        # a dict passed straight in reads from the working directory
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="No such file"):
+            ExperimentConfig.from_dict(config)
 
     def test_exact_forward_without_sampling_recovers_the_state(self, tmp_path):
         config = ExperimentConfig.from_dict(

@@ -223,6 +223,17 @@ class TestBuildResponse:
             tracemalloc.stop()
         assert peak < 2.2e6
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda params: build_response(params, -1, 3),
+         lambda params: build_response(params, 3, -1),
+         lambda params: suggest_m_max(params, -1, 1e-10)],
+        ids=["build-n-max", "build-m-max", "suggest-n-max"],
+    )
+    def test_negative_window_rejected(self, call):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            call(DetectorParams(0.5, 0.1))
+
     def test_binomial_loss_columns_sum_to_one(self):
         mat = build_response(DetectorParams(0.5, 0.0), 30, 30)
         sums = mat.entries.sum(axis=0)

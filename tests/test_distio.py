@@ -186,6 +186,13 @@ class TestStreamingWriter:
             distio.write_json(old, payload)
         assert old.read_bytes() == b"kept\n"
 
+    def test_probs_metadata_key_raises_before_any_write(self, tmp_path):
+        # it used to replace the values: [0.5, 0.5] was written as [1]
+        path = tmp_path / "d.json"
+        with pytest.raises(ValueError, match='metadata key "probs"'):
+            distio.write_distribution(path, [0.5, 0.5], metadata={"probs": [1]})
+        assert not path.exists()
+
     def test_matrix_write_memory_is_bounded_by_a_row(self, tmp_path):
         # the thermal_fig1 window, 322 x 703: 6.4 MB of text; building the
         # whole document first peaked at about 3x that
@@ -370,6 +377,22 @@ class TestMatrixFiles:
             f' "entries": {entries}}}'
         )
         with pytest.raises(ParseError, match=bad + " is not a JSON number"):
+            distio.read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "entries, bad",
+        [("[0.5, 0.5]", r"2-d matrix, got shape \(2,\)"),
+         ("0.5", r"2-d matrix, got shape \(\)"),
+         ("[[1.0, 0.0], 0.5]", "inhomogeneous shape")],
+        ids=["vector", "scalar", "mixed-rows"],
+    )
+    def test_entries_not_a_list_of_lists_rejected(self, tmp_path, entries, bad):
+        path = tmp_path / "S.json"
+        path.write_text(
+            '{"eta": 0.5, "n_noise": 0.0, "n_max": 1, "m_max": 1,'
+            f' "entries": {entries}}}'
+        )
+        with pytest.raises(ParseError, match=bad):
             distio.read_matrix(path)
 
     def test_garbage_rejected(self, tmp_path):

@@ -207,6 +207,20 @@ class TestBuildInverse:
             assert np.all(np.diff(norms) >= 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda params: inverse_entry(params, -1, 0), r"require n, m >= 0, got n=-1, m=0"),
+     (lambda params: inverse_entry(params, 0, -1), r"require n, m >= 0, got n=0, m=-1"),
+     (lambda params: build_inverse(params, -1, 3), "n_max and m_max must be nonnegative"),
+     (lambda params: build_inverse(params, 3, -1), "n_max and m_max must be nonnegative"),
+     (lambda params: direct_reconstruct(params, [0.5, 0.5], -1), "n_max must be nonnegative")],
+    ids=["entry-n", "entry-m", "build-n-max", "build-m-max", "direct-n-max"],
+)
+def test_negative_window_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(DetectorParams(0.8, 0.1))
+
+
 class TestDirectReconstruct:
     @NOT_VECTORS
     def test_count_vector_must_be_1d(self, bad, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pnrecon import states
 from pnrecon.states import (
     NegativeProbabilityError,
     ParseError,
@@ -132,6 +133,22 @@ def test_generator_outputs_satisfy_invariants(build, tail):
 
 
 @pytest.mark.parametrize(
+    "build, name", [(thermal, "mean_n"), (spats, "mean_n"), (even_cat, "alpha_sq")],
+    ids=["thermal", "spats", "even_cat"],
+)
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_generator_rejects_nonpositive_parameter(build, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive, got {value}"):
+        build(value)
+
+
+def test_window_past_the_sanity_cap_is_a_value_error(monkeypatch):
+    monkeypatch.setattr(states, "_WINDOW_CAP", 100)
+    with pytest.raises(ValueError, match="sanity cap of 100 entries"):
+        thermal(1e3)
+
+
+@pytest.mark.parametrize(
     "build", [thermal, spats, even_cat], ids=["thermal", "spats", "even_cat"]
 )
 @pytest.mark.parametrize("value", [True, "5.0", None])
@@ -201,6 +218,22 @@ class TestFromFile:
         path = tmp_path / "d.txt"
         path.write_text("")
         with pytest.raises(ParseError):
+            from_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[0.5, 0.5", "invalid JSON"),
+         ('{"p": [0.5, 0.5]}', 'JSON object lacks a "probs" array'),
+         ('[0.5, "0.5"]', "JSON payload is not an array of reals"),
+         ("[true, false]", "JSON payload is not an array of reals"),
+         ('{"probs": 1.0}', "JSON payload is not an array of reals")],
+        ids=["invalid-json", "object-without-probs", "string-entry", "bool-entries",
+             "probs-not-an-array"],
+    )
+    def test_malformed_json_rejected(self, tmp_path, text, message):
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
             from_file(path)
 
     @pytest.mark.parametrize("token", ["NaN", "inf"])
