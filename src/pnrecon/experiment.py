@@ -48,6 +48,10 @@ _SOLVER_KEYS = tuple(f.name for f in fields(LandweberConfig) if f.name != "initi
 _CONFIG_KEYS = ("name", "state", "detector_true", "detector_assumed", "sampling",
                 "solver", "constraints", "window_tail", "m_max", "direct_inversion")
 
+# sections that must be JSON objects when given (sampling may also be
+# null); build_state checks the state
+_OBJECT_KEYS = ("sampling", "solver", "constraints")
+
 
 class ConfigError(ValueError):
     """An experiment config is missing, malformed, or inconsistent."""
@@ -58,6 +62,7 @@ def build_state(spec: dict, base=None) -> states.PhotonDistribution:
     ``{"kind": "thermal", "mean_n": 30.0, "tail": 1e-10}``; the builder is
     looked up in ``states`` at call time. A relative ``file`` path is taken
     from ``base`` if given, else from the working directory."""
+    _require_object("state", spec)
     args = dict(spec)
     kind = args.pop("kind", None)
     if kind not in _STATE_KINDS:
@@ -86,6 +91,11 @@ def solver_config(options: dict, counts=None, events=None) -> LandweberConfig:
         return LandweberConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
+
+
+def _require_object(key: str, value) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
 
 
 def _check_keys(what: str, mapping: dict, allowed) -> None:
@@ -162,6 +172,9 @@ class ExperimentConfig:
         try:
             data = json.loads(json.dumps(payload))  # deep copy, JSON-clean
             _check_keys("config", data, _CONFIG_KEYS)
+            for key in _OBJECT_KEYS:
+                if key in data and (data[key] is not None or key != "sampling"):
+                    _require_object(key, data[key])
             photon = build_state(data["state"], base)
             det_true = DetectorParams(**data["detector_true"])
             det_assumed = DetectorParams(**data["detector_assumed"])
@@ -220,7 +233,7 @@ class ExperimentConfig:
         also of the state's values, which the config names only by path."""
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(canonical.encode())
-        if dict(self.raw["state"]).get("kind") == "file":
+        if self.raw["state"].get("kind") == "file":
             digest.update(self.photon.probs.tobytes())
         return digest.hexdigest()
 
@@ -255,7 +268,8 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
     empirical count distributions, the reconstruction, the solver report,
     the error report, a plot-data table, and (when configured) the raw
     direct-inversion estimate. Returns a summary dict with the headline
-    metrics and file paths.
+    metrics and file paths. Holds one response matrix at a time, so the
+    peak is about that matrix, or the direct inversion's grids if larger.
     """
     provenance = {
         "config_sha256": config.config_hash(),
@@ -291,6 +305,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
             "relative_residual": relative_residual(mat_assumed, report.estimate, counts_emp),
             "normalization_defect": normalization_defect(report.estimate),
         }
+    del mat_assumed  # last read above: the stages below run without the matrix
 
     direct_error = None
     if config.direct_inversion:

@@ -130,22 +130,34 @@ def _check_tail(tail) -> None:
         raise ValueError(f"tail must be in (0, 1), got {tail}")
 
 
-def _truncate_by_mass(term, tail: float) -> PhotonDistribution:
+def _truncate_by_mass(term, tail: float, min_window: float) -> PhotonDistribution:
     """Accumulate term(n) for n = 0, 1, ... until the collected mass
-    reaches 1 - tail.  term must describe a normalized distribution."""
+    reaches 1 - tail.  term must describe a normalized distribution;
+    min_window, a lower bound on the window length, lets a window past
+    the sanity cap be refused before the first term is taken."""
+    # terms the loop may take: none if the window must pass the cap
+    limit = _WINDOW_CAP if min_window <= _WINDOW_CAP else 0
     probs = []
     cum = 0.0
     n = 0
     while cum < 1.0 - tail:
+        if n >= limit:
+            raise ValueError(
+                f"truncation window exceeds the sanity cap of {_WINDOW_CAP} entries"
+            )
         p = term(n)
         probs.append(p)
         cum += p
         n += 1
-        if n > _WINDOW_CAP:
-            raise ValueError(
-                f"truncation window exceeds the sanity cap of {_WINDOW_CAP} entries"
-            )
     return PhotonDistribution(np.array(probs))
+
+
+def _geometric_window(mean_n: float, tail: float) -> float:
+    """A lower bound on the thermal window length, the smallest k with
+    ratio^k <= tail, after widening the tail by what a float sum of up to
+    _WINDOW_CAP terms can gain on the exact one, about (mean_n + 2k) eps."""
+    slack = 4.0 * (mean_n + _WINDOW_CAP) * np.finfo(float).eps
+    return math.log(tail + slack) / -math.log1p(1.0 / mean_n)
 
 
 def thermal(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
@@ -159,7 +171,9 @@ def thermal(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
     _check_tail(tail)
     ratio = mean_n / (1.0 + mean_n)
     scale = 1.0 / (1.0 + mean_n)
-    return _truncate_by_mass(lambda n: scale * ratio**n, tail)
+    return _truncate_by_mass(
+        lambda n: scale * ratio**n, tail, _geometric_window(mean_n, tail)
+    )
 
 
 def spats(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
@@ -174,7 +188,10 @@ def spats(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
     _check_tail(tail)
     ratio = mean_n / (1.0 + mean_n)
     scale = 1.0 / (mean_n * (1.0 + mean_n))
-    return _truncate_by_mass(lambda n: n * scale * ratio**n, tail)
+    # its tail past any window is heavier than the thermal one
+    return _truncate_by_mass(
+        lambda n: n * scale * ratio**n, tail, _geometric_window(mean_n, tail)
+    )
 
 
 def even_cat(alpha_sq: float, tail: float = 1e-10) -> PhotonDistribution:
@@ -197,7 +214,10 @@ def even_cat(alpha_sq: float, tail: float = 1e-10) -> PhotonDistribution:
             return 0.0
         return math.exp(log_norm + n * log_asq - math.lgamma(n + 1))
 
-    return _truncate_by_mass(term, tail)
+    # p_n <= 2 Poisson(n), so the Poisson lower-tail bound exp(-x^2/(2 a))
+    # on the mass below a - x bounds the window from below
+    min_window = alpha_sq - math.sqrt(2.0 * alpha_sq * math.log(2.0 / (1.0 - tail)))
+    return _truncate_by_mass(term, tail, min_window)
 
 
 def fock(n: int) -> PhotonDistribution:

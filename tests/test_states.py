@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,42 @@ def test_window_past_the_sanity_cap_is_a_value_error(monkeypatch):
     monkeypatch.setattr(states, "_WINDOW_CAP", 100)
     with pytest.raises(ValueError, match="sanity cap of 100 entries"):
         thermal(1e3)
+
+
+@pytest.mark.parametrize(
+    "build, value", [(thermal, 1e5), (spats, 1e5), (even_cat, 2e5)],
+    ids=["thermal", "spats", "even_cat"],
+)
+def test_window_past_the_sanity_cap_is_refused_before_the_loop(
+    monkeypatch, build, value
+):
+    # the loop alone would first collect 1e5 floats, about 3.2 MB
+    monkeypatch.setattr(states, "_WINDOW_CAP", 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="sanity cap of 100000 entries"):
+            build(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
+@pytest.mark.parametrize(
+    "build, args, size",
+    [(thermal, (30.0,), 703), (even_cat, (30.0,), 71), (thermal, (1e3, 1e-12), 27611)],
+    ids=["thermal", "even_cat", "thermal-float-sum-short"],
+)
+def test_window_at_the_sanity_cap_is_kept(monkeypatch, build, args, size):
+    # neither the check before the loop (tight on thermal) nor the loop's
+    # own (the one that acts on even_cat) refuses a window at the cap; the
+    # float sum of thermal(1e3, 1e-12) reaches 1 - tail 34 entries before
+    # the exact one does, which the check before the loop allows for
+    monkeypatch.setattr(states, "_WINDOW_CAP", size)
+    assert build(*args).probs.size == size
+    monkeypatch.setattr(states, "_WINDOW_CAP", size - 1)
+    with pytest.raises(ValueError, match=f"sanity cap of {size - 1} entries"):
+        build(*args)
 
 
 @pytest.mark.parametrize(
