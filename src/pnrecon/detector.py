@@ -72,8 +72,10 @@ class ResponseMatrix:
 
     ``entries`` must be a finite, nonnegative 2-d array (anything
     ``np.asarray`` turns into one); it is made read-only, a view being
-    copied first, so the values derived from it stay valid. Both derived
-    values are taken when the matrix is built, not passed:
+    copied first, so the values derived from it stay valid. Entries are
+    stored column-major whatever the input's layout, so built and read
+    matrices give the same product bits. Both derived values are taken
+    when the matrix is built, not passed:
     col_tail[n] = max(0, 1 - sum_m entries[m, n]) bounds the conditional
     mass truncated away above m_max in column n, and norm_bound_sq =
     (max column sum) * (max row sum) bounds sigma_max(S)^2 from above
@@ -87,11 +89,11 @@ class ResponseMatrix:
     _norm_bound_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+        entries = np.asarray(self.entries, dtype=float, order="F")
         if entries.ndim != 2:
             raise ValueError(f"entries must be a 2-d matrix, got shape {entries.shape}")
         if not entries.flags.owndata:  # writes through its base would go unseen
-            entries = entries.copy()
+            entries = entries.copy(order="F")
         object.__setattr__(self, "entries", entries)
         self._derive()
         entries.flags.writeable = False
@@ -194,15 +196,16 @@ def build_response(
 
     Equivalent to filling every entry with :func:`response_entry`. Column 0
     is the Poisson(N) pmf and each next column the thinning step
-    (1-eta) col + eta col shifted down a row, written into the C-order
-    matrix buffer. (1-eta) col is formed as col - eta col when eta < 1/2,
-    where 1 - eta need not be a double and its rounding would compound once
-    per column (5.7e-14 relative by n = 702 at eta = 0.34), and with the
-    exact 1 - eta otherwise.
+    (1-eta) col + eta col shifted down a row, written into the next
+    column of the column-major matrix buffer, so every step reads and
+    writes contiguous memory. (1-eta) col is formed as col - eta col when
+    eta < 1/2, where 1 - eta need not be a double and its rounding would
+    compound once per column (5.7e-14 relative by n = 702 at eta = 0.34),
+    and with the exact 1 - eta otherwise.
     """
     if n_max < 0 or m_max < 0:
         raise ValueError("n_max and m_max must be nonnegative")
-    entries = np.empty((m_max + 1, n_max + 1))
+    entries = np.empty((m_max + 1, n_max + 1), order="F")
     _poisson_pmf(params.n_noise, entries[:, 0])
     eta, counted = params.eta, np.empty(m_max + 1)
     head = counted[:-1]  # eta col, shifted down a row into rows 1..m_max

@@ -134,7 +134,10 @@ def _truncate_by_mass(term, tail: float, min_window: float) -> PhotonDistributio
     """Accumulate term(n) for n = 0, 1, ... until the collected mass
     reaches 1 - tail.  term must describe a normalized distribution;
     min_window, a lower bound on the window length, lets a window past
-    the sanity cap be refused before the first term is taken."""
+    the sanity cap be refused before the first term is taken. A tail the
+    float sum cannot reach is refused at the first term that no longer
+    moves the sum, which comes past the mode, where every later term is
+    smaller still."""
     # terms the loop may take: none if the window must pass the cap
     limit = _WINDOW_CAP if min_window <= _WINDOW_CAP else 0
     probs = []
@@ -146,6 +149,11 @@ def _truncate_by_mass(term, tail: float, min_window: float) -> PhotonDistributio
                 f"truncation window exceeds the sanity cap of {_WINDOW_CAP} entries"
             )
         p = term(n)
+        if p > 0.0 and cum + p == cum:
+            raise ValueError(
+                f"tail {tail} is out of reach: the float sum of the terms "
+                f"stalls at {cum!r} after {n} entries"
+            )
         probs.append(p)
         cum += p
         n += 1

@@ -1,7 +1,9 @@
 import errno
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -28,6 +30,52 @@ from pnrecon.metrics import relative_residual
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+OUTPUT_DIGESTS = Path(__file__).with_name("output_digests.json")
+
+
+def kernel_environment() -> dict:
+    """What picks the floating-point kernels behind the output bytes:
+    OpenBLAS built DYNAMIC_ARCH chooses its kernels by CPU, for which the
+    SIMD extensions numpy finds on it stand in."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 only prints its config
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "simd": config.get("SIMD Extensions", {}).get("found"),
+    }
+
+
+def check_output_digests(config: str, out: Path) -> None:
+    """The sha256 of every file in ``out`` against the committed manifest;
+    skips, naming the field, where the kernel environment differs."""
+    manifest = json.loads(OUTPUT_DIGESTS.read_text(encoding="utf-8"))
+    here = kernel_environment()
+    for field, value in manifest["environment"].items():
+        if here.get(field) != value:
+            pytest.skip(
+                f"output digests were taken with {field} {value!r}, "
+                f"this is {here.get(field)!r}"
+            )
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    expected = manifest["runs"][config]
+    moved = sorted(
+        name for name in digests.keys() | expected.keys()
+        if digests.get(name) != expected.get(name)
+    )
+    assert not moved, (
+        f"output bytes of {config} moved in {', '.join(moved)}; new entry:\n"
+        + json.dumps({config: digests}, indent=2)
+    )
 
 
 SMALL_CONFIG = {
@@ -737,6 +785,23 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "sanity cap of 100" in err["message"]
 
+    def test_tail_the_float_sum_cannot_reach_is_2(self, tmp_path, capsys):
+        capsys.readouterr()
+        code = run_cli("gen-state", "thermal", "--mean", "300", "--tail", "1e-15",
+                       "--output", str(tmp_path / "p.json"))
+        assert code == 2
+        assert not (tmp_path / "p.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "out of reach" in err["message"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {**SMALL_CONFIG, "state": {"kind": "thermal", "mean_n": 300, "tail": 1e-15}}))
+        code = run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out"))
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "out of reach" in err["message"]
+
     def test_invalid_config_payload_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"state": {"kind": "warp"}}))
@@ -831,6 +896,7 @@ class TestRunExperiment:
             assert (outputs[0] / name).read_bytes() == (
                 outputs[1] / name
             ).read_bytes(), name
+        check_output_digests(config, outputs[0])
 
     def test_bundled_config_loads(self):
         config = load_config("thermal_fig1")

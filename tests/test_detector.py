@@ -22,7 +22,9 @@ from pnrecon.detector import (
 )
 from pnrecon import distio
 from pnrecon.experiment import bundled_config_names, load_config
-from pnrecon.landweber import ConstraintSet, LandweberConfig, SolveReport
+from pnrecon.landweber import ConstraintSet, LandweberConfig, SolveReport, solve
+from pnrecon.metrics import relative_residual
+from pnrecon.sampling import SamplingConfig, expected_sampling_error, sample_counts
 from pnrecon.states import PhotonDistribution, fock, thermal
 
 mp.mp.dps = 50
@@ -367,16 +369,54 @@ class TestThinningBuild:
         cells = sampled_cells(np.random.default_rng(31), n_max, m_max, 25)
         assert assert_matches_thinning_oracle(entries, params, cells, rtol) >= 4
 
-    def test_entries_are_c_contiguous_and_read_only(self):
-        for n_max, m_max in ((702, 321), (321, 702)):
-            entries = build_response(DetectorParams(0.35, 0.29), n_max, m_max).entries
-            assert entries.flags.c_contiguous and entries.flags.owndata
+    def test_entries_are_f_contiguous_owned_and_read_only(self, tmp_path):
+        # each thinning step writes one contiguous column; any other input
+        # is brought to the same layout, so every matrix picks one kernel
+        params = DetectorParams(0.35, 0.29)
+        mats = [build_response(params, n, m) for n, m in ((702, 321), (321, 702))]
+        distio.write_matrix(tmp_path / "S.json", mats[0])
+        mats.append(distio.read_matrix(tmp_path / "S.json"))
+        c_order = np.ascontiguousarray(mats[0].entries)
+        mats.append(ResponseMatrix(c_order, params))
+        mats.append(ResponseMatrix(c_order[1:, 2:], params))  # a C-order view
+        f_view = np.asfortranarray(c_order)[:, 2:]  # F-contiguous, not owned
+        assert f_view.flags.f_contiguous and not f_view.flags.owndata
+        mats.append(ResponseMatrix(f_view, params))
+        for mat in mats:
+            entries = mat.entries
+            assert entries.flags.f_contiguous and entries.flags.owndata
             assert not entries.flags.writeable
+        assert np.array_equal(mats[2].entries, mats[0].entries)
+        assert np.array_equal(mats[3].entries, mats[0].entries)
+        assert np.array_equal(mats[4].entries, c_order[1:, 2:])
+        assert np.array_equal(mats[5].entries, c_order[:, 2:])
+
+    def test_input_layout_does_not_change_product_bits(self):
+        cfg = load_config("thermal_fig1")
+        photon, params = cfg.photon, cfg.detector_assumed
+        built = build_response(params, photon.n_max, 321)
+        c_mat = ResponseMatrix(np.ascontiguousarray(built.entries), params)
+        f_mat = ResponseMatrix(np.asfortranarray(built.entries), params)
+        counts = forward(c_mat, photon)
+        assert counts.tobytes() == forward(f_mat, photon).tobytes()
+        measured = sample_counts(counts, SamplingConfig(events=50_000, seed=1))
+        estimate = photon.probs[::-1]  # any vector of the window's length
+        assert relative_residual(c_mat, estimate, measured) == relative_residual(
+            f_mat, estimate, measured
+        )
+        config = LandweberConfig(noise_level=expected_sampling_error(measured, 50_000))
+        reports = [solve(mat, measured, ConstraintSet.nonnegative(), config)
+                   for mat in (c_mat, f_mat)]
+        assert reports[0].iterations_run > 0
+        assert reports[0].estimate.tobytes() == reports[1].estimate.tobytes()
+        assert reports[0].residual_history.tobytes() == (
+            reports[1].residual_history.tobytes()
+        )
 
     @pytest.mark.parametrize("config", ["thermal_fig1", "spats_fig2"])
     def test_forward_bits_survive_matrix_file_round_trip(self, config, tmp_path):
-        # the layout of the entries picks the BLAS kernel of S @ p: a matrix
-        # built in another order gives other bits than its JSON-read copy
+        # the layout of the entries picks the BLAS kernel of S @ p: both
+        # are stored column-major, so both give the same bits
         cfg = load_config(config)
         photon = cfg.photon
         m_max = suggest_m_max(cfg.detector_assumed, photon.n_max, cfg.window_tail)

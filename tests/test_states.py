@@ -186,6 +186,37 @@ def test_window_at_the_sanity_cap_is_kept(monkeypatch, build, args, size):
 
 
 @pytest.mark.parametrize(
+    "build, args, stall",
+    [(even_cat, (400.0, 1e-14), 576), (even_cat, (3e4, 1e-12), 31398),
+     (thermal, (1e4, 1e-14), 282210), (spats, (1e4, 1e-14), 316767)],
+    ids=["even_cat", "even_cat-large", "thermal", "spats"],
+)
+def test_tail_the_float_sum_cannot_reach_is_refused_where_it_stalls(build, args, stall):
+    # past the mode each term is under half an ulp of the mass, so the loop
+    # would run on to the cap: 1e7 floats, about 320 MB; 10.2 MB measured
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"out of reach: .* after {stall} entries"):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize(
+    "build, args, size",
+    [(spats, (1e3, 1e-12), 31047), (even_cat, (23.9, 1e-10), 61),
+     (thermal, (1e3, 1e-14), 30480)],
+    ids=["spats", "even_cat", "thermal-near-stall"],
+)
+def test_reachable_small_tail_keeps_its_window(build, args, size):
+    # a zero term adds nothing and is no stall: p_0 of SPATS and the odd
+    # terms of even cat
+    assert build(*args).probs.size == size
+
+
+@pytest.mark.parametrize(
     "build", [thermal, spats, even_cat], ids=["thermal", "spats", "even_cat"]
 )
 @pytest.mark.parametrize("value", [True, "5.0", None])
