@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import log_factorial_table, log_laguerre_nonpos
+from .special import log_factorial_table, log_laguerre_nonpos, poisson_upper
 from .states import PhotonDistribution, _check_tail, _require_real, _require_vector
 
 __all__ = [
@@ -243,9 +243,10 @@ def forward(mat: ResponseMatrix, p: PhotonDistribution) -> np.ndarray:
 
 def suggest_m_max(params: DetectorParams, n_max: int, tail: float) -> int:
     """Smallest m_max whose column-n_max conditional distribution loses at
-    most ``tail`` of its mass, found by cumulative summation of the column,
-    the Binomial(n_max, eta) pmf (from its logarithm) convolved with the
-    Poisson(N) pmf up to its last nonzero; at most n_max + 4000.
+    most ``tail`` of its mass, the loss past each row summed smallest term
+    first, on the column the Binomial(n_max, eta) pmf (from its logarithm)
+    convolved with the Poisson(N) pmf up to where less than tail * eps of
+    its mass is left; at most n_max + 4000.
 
     The worst column is n_max (the conditional count mean grows with n).
     """
@@ -256,9 +257,10 @@ def suggest_m_max(params: DetectorParams, n_max: int, tail: float) -> int:
         # no counts above n: the column is exactly supported on 0..n_max
         return n_max
     cap = n_max + _SUGGEST_HARD_MARGIN
-    poisson = np.trim_zeros(_poisson_pmf(params.n_noise, np.empty(cap + 1)), "b")
-    if not poisson.size:  # the noise pmf underflows everywhere below the cap
+    rows = poisson_upper(params.n_noise, tail)
+    if rows > 2 * cap:  # the noise mean is past the cap, and so is the column's
         return cap
+    poisson = _poisson_pmf(params.n_noise, np.empty(int(rows) + 1))
     if params.eta < 1.0:
         k, table = np.arange(n_max + 1), log_factorial_table(n_max)
         binomial = np.exp(table[n_max] - table - table[::-1] + k * math.log(params.eta)
@@ -266,6 +268,5 @@ def suggest_m_max(params: DetectorParams, n_max: int, tail: float) -> int:
     else:
         binomial = np.zeros(n_max + 1)
         binomial[n_max] = 1.0
-    column = np.convolve(binomial, poisson)[: cap + 1]
-    crossed = np.flatnonzero(1.0 - np.cumsum(column) <= tail)
-    return int(crossed[0]) if crossed.size else cap
+    column = np.convolve(binomial, poisson)
+    return min(cap, int(np.count_nonzero(np.cumsum(column[:0:-1]) > tail)))

@@ -5,7 +5,8 @@ of small probabilities and two polynomial/series factors: the associated
 Laguerre polynomial L_n^k evaluated at nonpositive argument, and the Kummer
 confluent hypergeometric series Phi(a, b; x) at nonnegative argument. Both
 reduce to sums of same-sign terms on those argument ranges, so everything
-here is accumulated in log space without cancellation.
+here is accumulated in log space without cancellation. A Poisson tail bound
+sizes the windows that photon and count distributions are cut from.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "log_laguerre_nonpos",
     "log_kummer",
     "log_factorial_table",
+    "poisson_upper",
 ]
 
 # log of the largest finite double; exponentials beyond this overflow
@@ -124,3 +126,10 @@ def log_kummer(a, b, x: float):
         ) from None
     return np.log(total, out=total)[()]  # a scalar for scalar a
 
+
+def poisson_upper(mean: float, tail: float, weight: float = 1.0) -> float:
+    """A count past which ``weight`` times the Poisson(mean) mass is below
+    tail * eps, from the Bernstein bound exp(-x^2/(2 (mean + x/3))) on the
+    mass from mean + x up."""
+    log_mass = math.log(weight / np.finfo(float).eps) - math.log(tail)
+    return mean + log_mass / 3 + math.sqrt(log_mass * log_mass / 9 + 2 * mean * log_mass)

@@ -1,10 +1,10 @@
 """Analytic photon-number distributions used as test inputs.
 
-Each generator returns a distribution truncated to a finite window chosen
-so that the discarded mass is below a caller-supplied tail bound. Every
-PhotonDistribution checks its vector when built and derives the
-truncation tail, max(0, 1 - sum), from it, so downstream consumers can
-audit truncation error.
+Each generator returns the smallest window whose exact tail, the mass
+past it, is at most a caller-supplied ``tail``. Every PhotonDistribution
+checks its vector when built and derives the truncation tail,
+max(0, 1 - sum), from it: the deficit of the rounded terms, which can
+exceed ``tail`` where the terms' rounding outweighs it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .special import poisson_upper
 
 __all__ = [
     "PhotonDistribution",
@@ -130,58 +132,39 @@ def _check_tail(tail) -> None:
         raise ValueError(f"tail must be in (0, 1), got {tail}")
 
 
-def _truncate_by_mass(term, tail: float, min_window: float) -> PhotonDistribution:
-    """Accumulate term(n) for n = 0, 1, ... until the collected mass
-    reaches 1 - tail.  term must describe a normalized distribution;
-    min_window, a lower bound on the window length, lets a window past
-    the sanity cap be refused before the first term is taken. A tail the
-    float sum cannot reach is refused at the first term that no longer
-    moves the sum, which comes past the mode, where every later term is
-    smaller still."""
-    # terms the loop may take: none if the window must pass the cap
-    limit = _WINDOW_CAP if min_window <= _WINDOW_CAP else 0
-    probs = []
-    cum = 0.0
-    n = 0
-    while cum < 1.0 - tail:
-        if n >= limit:
-            raise ValueError(
-                f"truncation window exceeds the sanity cap of {_WINDOW_CAP} entries"
-            )
-        p = term(n)
-        if p > 0.0 and cum + p == cum:
-            raise ValueError(
-                f"tail {tail} is out of reach: the float sum of the terms "
-                f"stalls at {cum!r} after {n} entries"
-            )
-        probs.append(p)
-        cum += p
-        n += 1
-    return PhotonDistribution(np.array(probs))
+def _check_window(size: float) -> None:
+    if size > _WINDOW_CAP:
+        raise ValueError(f"truncation window exceeds the sanity cap of {_WINDOW_CAP} entries")
 
 
-def _geometric_window(mean_n: float, tail: float) -> float:
-    """A lower bound on the thermal window length, the smallest k with
-    ratio^k <= tail, after widening the tail by what a float sum of up to
-    _WINDOW_CAP terms can gain on the exact one, about (mean_n + 2k) eps."""
-    slack = 4.0 * (mean_n + _WINDOW_CAP) * np.finfo(float).eps
-    return math.log(tail + slack) / -math.log1p(1.0 / mean_n)
+def _window(log_tail, tail: float) -> int:
+    """The smallest window k >= 1 whose tail, the exact mass at n >= k, is
+    at most ``tail``, given its logarithm log_tail(k), which falls with k:
+    a bisection on [1, cap + 1] against ln(tail), so that a window past
+    the sanity cap is refused before any term is formed. Exact but where
+    log_tail(k) lies within a few ulps of ln(tail)."""
+    target, low, high = math.log(tail), 1, _WINDOW_CAP + 1
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if log_tail(mid) <= target else (mid + 1, high)
+    _check_window(low)
+    return low
 
 
 def thermal(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
     """Thermal distribution p_n = (1/(1+nbar)) (nbar/(1+nbar))^n.
 
-    Truncated at the smallest window holding at least 1 - tail of the
-    (geometric) mass.
+    Truncated at the smallest window whose exact tail, r^k with
+    r = nbar/(1+nbar), is at most ``tail``.
     """
     if _require_real("mean_n", mean_n) <= 0:
         raise ValueError(f"mean_n must be positive, got {mean_n}")
     _check_tail(tail)
+    log_ratio = -math.log1p(1.0 / mean_n)
+    size = _window(lambda k: k * log_ratio, tail)
     ratio = mean_n / (1.0 + mean_n)
     scale = 1.0 / (1.0 + mean_n)
-    return _truncate_by_mass(
-        lambda n: scale * ratio**n, tail, _geometric_window(mean_n, tail)
-    )
+    return PhotonDistribution(np.array([scale * ratio**n for n in range(size)]))
 
 
 def spats(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
@@ -189,17 +172,20 @@ def spats(mean_n: float, tail: float = 1e-10) -> PhotonDistribution:
     p_n = n/(nbar (1+nbar)) (nbar/(1+nbar))^n, with p_0 = 0.
 
     mean_n is the thermal mean nbar before the photon is added; the mean
-    photon number of the returned state is 2 nbar + 1.
+    photon number of the returned state is 2 nbar + 1. Truncated at the
+    smallest window whose exact tail, r^(k-1) (1 + (k-1)(1-r)) with
+    r = nbar/(1+nbar), is at most ``tail``.
     """
     if _require_real("mean_n", mean_n) <= 0:
         raise ValueError(f"mean_n must be positive, got {mean_n}")
     _check_tail(tail)
+    log_ratio = -math.log1p(1.0 / mean_n)
+    size = _window(
+        lambda k: (k - 1) * log_ratio + math.log1p((k - 1) / (1.0 + mean_n)), tail
+    )
     ratio = mean_n / (1.0 + mean_n)
     scale = 1.0 / (mean_n * (1.0 + mean_n))
-    # its tail past any window is heavier than the thermal one
-    return _truncate_by_mass(
-        lambda n: n * scale * ratio**n, tail, _geometric_window(mean_n, tail)
-    )
+    return PhotonDistribution(np.array([n * scale * ratio**n for n in range(size)]))
 
 
 def even_cat(alpha_sq: float, tail: float = 1e-10) -> PhotonDistribution:
@@ -209,23 +195,26 @@ def even_cat(alpha_sq: float, tail: float = 1e-10) -> PhotonDistribution:
 
     at even n, with alpha_sq = |a|^2. Computed in log space; |a|^{2n}/n!
     overflows a double beyond n of roughly 35 at the magnitudes of
-    interest.
+    interest. Truncated at the smallest window whose tail, summed
+    smallest term first, is at most ``tail``.
     """
     if _require_real("alpha_sq", alpha_sq) <= 0:
         raise ValueError(f"alpha_sq must be positive, got {alpha_sq}")
     _check_tail(tail)
     log_norm = math.log(2.0) - alpha_sq - math.log1p(math.exp(-2.0 * alpha_sq))
     log_asq = math.log(alpha_sq)
-
-    def term(n: int) -> float:
-        if n % 2 == 1:
-            return 0.0
-        return math.exp(log_norm + n * log_asq - math.lgamma(n + 1))
-
-    # p_n <= 2 Poisson(n), so the Poisson lower-tail bound exp(-x^2/(2 a))
-    # on the mass below a - x bounds the window from below
-    min_window = alpha_sq - math.sqrt(2.0 * alpha_sq * math.log(2.0 / (1.0 - tail)))
-    return _truncate_by_mass(term, tail, min_window)
+    # p_n <= 2 Poisson(n): the Poisson lower-tail bound exp(-x^2/(2 a)) on
+    # the mass below a - x bounds the window from below, and less than
+    # tail * eps of the mass lies past ``upper``
+    _check_window(alpha_sq - math.sqrt(2.0 * alpha_sq * math.log(2.0 / (1.0 - tail))))
+    upper = poisson_upper(alpha_sq, tail, weight=2.0)
+    terms = [
+        0.0 if n % 2 else math.exp(log_norm + n * log_asq - math.lgamma(n + 1))
+        for n in range(int(upper) + 1)
+    ]
+    size = int(np.count_nonzero(np.cumsum(terms[::-1]) > tail))
+    _check_window(size)
+    return PhotonDistribution(np.array(terms[:size]))
 
 
 def fock(n: int) -> PhotonDistribution:

@@ -78,6 +78,21 @@ def check_output_digests(config: str, out: Path) -> None:
     )
 
 
+README_CHAIN = [
+    ["gen-state", "thermal", "--mean", "30", "--output", "p.json"],
+    ["build-detector", "--eta", "0.34", "--noise", "0.30", "--n-max", "702",
+     "--output", "S.json"],
+    ["forward", "--detector", "S.json", "--state", "p.json", "--output", "P.json"],
+    ["sample", "--counts", "P.json", "--events", "50000", "--seed", "3",
+     "--output", "emp.json"],
+    ["reconstruct", "--detector", "S.json", "--counts", "emp.json", "--events", "50000",
+     "--output", "rec.json", "--report", "solve.json"],
+    ["invert-direct", "--eta", "0.34", "--noise", "0.30", "--n-max", "702",
+     "--counts", "emp.json", "--output", "raw.json"],
+    ["metrics", "--estimate", "rec.json", "--truth", "p.json"],
+]
+
+
 SMALL_CONFIG = {
     "name": "small",
     "state": {"kind": "thermal", "mean_n": 5.0, "tail": 1e-8},
@@ -785,22 +800,23 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "sanity cap of 100" in err["message"]
 
-    def test_tail_the_float_sum_cannot_reach_is_2(self, tmp_path, capsys):
+    def test_small_tail_windows_at_the_boundary(self, tmp_path, capsys):
+        # the smallest window with an exact tail of at most 1e-14 holds 563
+        # entries; thermal(3e4, 1e-14)'s rounded terms sum past 1 + 1e-12
         capsys.readouterr()
-        code = run_cli("gen-state", "thermal", "--mean", "300", "--tail", "1e-15",
-                       "--output", str(tmp_path / "p.json"))
-        assert code == 2
-        assert not (tmp_path / "p.json").exists()
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "out of reach" in err["message"]
+        out = tmp_path / "p.json"
+        code = run_cli("gen-state", "even-cat", "--alpha-sq", "400", "--tail", "1e-14",
+                       "--output", str(out))
+        assert code == 0
+        assert distio.read_distribution(out)[0].size == 563
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
-            {**SMALL_CONFIG, "state": {"kind": "thermal", "mean_n": 300, "tail": 1e-15}}))
+            {**SMALL_CONFIG, "state": {"kind": "thermal", "mean_n": 3e4, "tail": 1e-14}}))
         code = run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out"))
         assert code == 2
         assert not (tmp_path / "out").exists()
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError" and "out of reach" in err["message"]
+        assert err["error"] == "ConfigError" and "exceeds 1 + 1e-12" in err["message"]
 
     def test_invalid_config_payload_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -897,6 +913,16 @@ class TestRunExperiment:
                 outputs[1] / name
             ).read_bytes(), name
         check_output_digests(config, outputs[0])
+
+    def test_readme_cli_chain_outputs_pinned(self, tmp_path, monkeypatch, capsys):
+        # the README's CLI chain with its sample at seed 3, through in-process
+        # main; metrics prints its figures, kept as metrics.txt
+        monkeypatch.chdir(tmp_path)
+        for argv in README_CHAIN:
+            capsys.readouterr()
+            assert run_cli(*argv) == 0, argv
+        (tmp_path / "metrics.txt").write_text(capsys.readouterr().out, encoding="utf-8")
+        check_output_digests("readme_cli_chain", tmp_path)
 
     def test_bundled_config_loads(self):
         config = load_config("thermal_fig1")

@@ -520,6 +520,29 @@ def suggest_m_max_reference(params: DetectorParams, n_max: int, tail: float) -> 
     return cap
 
 
+ORACLE_TAILS = (1e-4, 1e-6, 1e-10, 1e-12, 1e-14)
+
+
+@functools.lru_cache(maxsize=None)
+def column_oracle_windows(params: DetectorParams, n_max: int, tails) -> dict:
+    """The smallest m_max losing at most each tail of column n_max, the
+    Binomial(n_max, eta) pmf convolved with the Poisson(N) pmf, as
+    1 - (partial sum) in 50-digit arithmetic."""
+    eta, noise = mp.mpf(params.eta), mp.mpf(params.n_noise)
+    binomial = [
+        math.comb(n_max, k) * eta**k * (1 - eta) ** (n_max - k) for k in range(n_max + 1)
+    ]
+    poisson, cum, windows, m = [], mp.mpf(0), {}, 0
+    while len(windows) < len(tails):
+        poisson.append(mp.exp(-noise) if m == 0 else poisson[-1] * noise / m)
+        cum += mp.fsum(binomial[k] * poisson[m - k] for k in range(min(m, n_max) + 1))
+        for tail in tails:
+            if tail not in windows and 1 - cum <= tail:
+                windows[tail] = m
+        m += 1
+    return windows
+
+
 class TestSuggestMMax:
     """suggest_m_max against the scalar loop it replaced (kept above
     verbatim as suggest_m_max_reference): one response_entry per m,
@@ -562,6 +585,15 @@ class TestSuggestMMax:
             )
             assert abs(rest - tail) <= 4 * np.finfo(float).eps, (got, want, rest)
 
+    @pytest.mark.parametrize("detector", ["detector_true", "detector_assumed"])
+    @pytest.mark.parametrize("config", bundled_config_names())
+    def test_bundled_windows_match_oracle(self, config, detector):
+        cfg = load_config(config)
+        params = getattr(cfg, detector)
+        windows = column_oracle_windows(params, cfg.photon.n_max, ORACLE_TAILS)
+        for tail in ORACLE_TAILS:
+            assert suggest_m_max(params, cfg.photon.n_max, tail) == windows[tail], tail
+
     @pytest.mark.parametrize(
         "config,m_max",
         [("thermal_fig1", 321), ("spats_fig2", 255), ("spats_fig3_direct", 255), ("cat_fig4", 63)],
@@ -589,6 +621,23 @@ class TestSuggestMMax:
             crossed = np.flatnonzero(1.0 - np.cumsum(column) <= tail)
             want = int(crossed[0]) if crossed.size else cap
             assert suggest_m_max(params, n_max, tail) == want, (params, n_max, tail)
+
+    def test_noise_mean_near_and_past_the_cap(self):
+        # N = 2500: the noise pmf still reaches past row n_max + 4000, yet the
+        # window ends well below it; N = 6000: the window is past the cap;
+        # N = 1e7: the cap is returned before the pmf (80 MB) is formed
+        params = DetectorParams(0.5, 2500.0)
+        want = column_oracle_windows(params, 10, (1e-10,))[1e-10]
+        assert suggest_m_max(params, 10, 1e-10) == want < 10 + _SUGGEST_HARD_MARGIN
+        tracemalloc.start()
+        try:
+            for n_noise in (6000.0, 1e7):
+                got = suggest_m_max(DetectorParams(0.5, n_noise), 10, 1e-10)
+                assert got == 10 + _SUGGEST_HARD_MARGIN, n_noise
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_noise_pmf_below_the_cap_underflowing_gives_the_cap(self):
         assert suggest_m_max(DetectorParams(0.5, 1e6), 10, 1e-10) == 10 + _SUGGEST_HARD_MARGIN

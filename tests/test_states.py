@@ -1,8 +1,12 @@
+import functools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pnrecon import states
 from pnrecon.states import (
@@ -16,6 +20,8 @@ from pnrecon.states import (
     spats,
     thermal,
 )
+
+mp.mp.dps = 50
 
 
 class TestThermal:
@@ -170,14 +176,12 @@ def test_window_past_the_sanity_cap_is_refused_before_the_loop(
 
 @pytest.mark.parametrize(
     "build, args, size",
-    [(thermal, (30.0,), 703), (even_cat, (30.0,), 71), (thermal, (1e3, 1e-12), 27611)],
-    ids=["thermal", "even_cat", "thermal-float-sum-short"],
+    [(thermal, (30.0,), 703), (even_cat, (30.0,), 71), (thermal, (1e3, 1e-12), 27645)],
+    ids=["thermal", "even_cat", "thermal-small-tail"],
 )
 def test_window_at_the_sanity_cap_is_kept(monkeypatch, build, args, size):
-    # neither the check before the loop (tight on thermal) nor the loop's
-    # own (the one that acts on even_cat) refuses a window at the cap; the
-    # float sum of thermal(1e3, 1e-12) reaches 1 - tail 34 entries before
-    # the exact one does, which the check before the loop allows for
+    # neither the bisection (thermal) nor the even-cat checks, the bound
+    # before the terms and the cut after them, refuse a window at the cap
     monkeypatch.setattr(states, "_WINDOW_CAP", size)
     assert build(*args).probs.size == size
     monkeypatch.setattr(states, "_WINDOW_CAP", size - 1)
@@ -186,34 +190,100 @@ def test_window_at_the_sanity_cap_is_kept(monkeypatch, build, args, size):
 
 
 @pytest.mark.parametrize(
-    "build, args, stall",
-    [(even_cat, (400.0, 1e-14), 576), (even_cat, (3e4, 1e-12), 31398),
-     (thermal, (1e4, 1e-14), 282210), (spats, (1e4, 1e-14), 316767)],
-    ids=["even_cat", "even_cat-large", "thermal", "spats"],
-)
-def test_tail_the_float_sum_cannot_reach_is_refused_where_it_stalls(build, args, stall):
-    # past the mode each term is under half an ulp of the mass, so the loop
-    # would run on to the cap: 1e7 floats, about 320 MB; 10.2 MB measured
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=f"out of reach: .* after {stall} entries"):
-            build(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-
-
-@pytest.mark.parametrize(
     "build, args, size",
-    [(spats, (1e3, 1e-12), 31047), (even_cat, (23.9, 1e-10), 61),
-     (thermal, (1e3, 1e-14), 30480)],
+    [(spats, (1e3, 1e-12), 31116), (even_cat, (23.9, 1e-10), 61),
+     (thermal, (1e3, 1e-14), 32253)],
     ids=["spats", "even_cat", "thermal-near-stall"],
 )
 def test_reachable_small_tail_keeps_its_window(build, args, size):
-    # a zero term adds nothing and is no stall: p_0 of SPATS and the odd
-    # terms of even cat
+    # small tails where a float running sum of the terms would end short
+    # (spats) or stop moving before 1 - tail (thermal); a zero term (p_0 of
+    # SPATS, the odd terms of even cat) is part of the window
     assert build(*args).probs.size == size
+
+
+def thermal_tail(mean_n, k):
+    """The exact mass of thermal(mean_n) at n >= k, r^k."""
+    ratio = mp.mpf(mean_n) / (1 + mp.mpf(mean_n))
+    return ratio**k
+
+
+def spats_tail(mean_n, k):
+    """The exact mass of spats(mean_n) at n >= k, r^(k-1) (1 + (k-1)(1-r))."""
+    ratio = mp.mpf(mean_n) / (1 + mp.mpf(mean_n))
+    return ratio ** (k - 1) * (1 + (k - 1) * (1 - ratio))
+
+
+def oracle_window(tail_at, tail) -> int:
+    """The smallest k >= 1 with tail_at(k) <= tail, tail_at falling with
+    k, by doubling then bisection in 50-digit arithmetic."""
+    low, high = 1, 1
+    while tail_at(high) > tail:
+        low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if tail_at(mid) <= tail else (mid + 1, high)
+    return low
+
+
+@functools.lru_cache(maxsize=None)
+def even_cat_oracle_windows(alpha_sq, tails) -> dict:
+    """The smallest window of even_cat(alpha_sq) losing at most each tail,
+    1 - (partial sum) in 50-digit arithmetic."""
+    a = mp.mpf(alpha_sq)
+    norm = 2 * mp.exp(-a) / (1 + mp.exp(-2 * a))
+    cum, term, windows, n = mp.mpf(0), norm, {}, 0
+    while len(windows) < len(tails):
+        if n % 2 == 0:
+            cum += term
+            term *= a * a / ((n + 1) * (n + 2))
+        for tail in tails:
+            if tail not in windows and 1 - cum <= tail:
+                windows[tail] = n + 1
+        n += 1
+    return windows
+
+
+GRID_TAILS = (1e-4, 1e-6, 1e-10, 1e-12, 1e-14)
+CAT_TAILS = (1e-6, 1e-10, 1e-12, 1e-14)
+
+
+@pytest.mark.parametrize("tail", GRID_TAILS)
+@pytest.mark.parametrize("mean_n", [0.5, 10.0, 30.0, 300.0, 1000.0])
+@pytest.mark.parametrize(
+    "build, tail_at", [(thermal, thermal_tail), (spats, spats_tail)],
+    ids=["thermal", "spats"],
+)
+def test_window_matches_oracle(build, tail_at, mean_n, tail):
+    want = oracle_window(lambda k: tail_at(mean_n, k), mp.mpf(tail))
+    assert build(mean_n, tail).probs.size == want
+
+
+@pytest.mark.parametrize("tail", CAT_TAILS)
+@pytest.mark.parametrize("alpha_sq", [1.0, 23.9, 400.0])
+def test_even_cat_window_matches_oracle(alpha_sq, tail):
+    want = even_cat_oracle_windows(alpha_sq, CAT_TAILS)[tail]
+    assert even_cat(alpha_sq, tail).probs.size == want
+
+
+@pytest.mark.parametrize(
+    "build, tail_at", [(thermal, thermal_tail), (spats, spats_tail)],
+    ids=["thermal", "spats"],
+)
+@given(mean_n=st.floats(1e-3, 1e3), tail=st.floats(1e-15, 0.5))
+# r = 1/2 and tail = 2^-33: the exact tail of 33 entries equals the bound,
+# and the rounded logarithms put it one ulp above
+@example(mean_n=1.0, tail=2.0**-33)
+def test_window_is_the_smallest_whose_log_tail_is_below_ln_tail(
+    build, tail_at, mean_n, tail
+):
+    # the rule compares rounded logarithms, so a log tail within a few
+    # ulps of ln(tail) may fall on either side of it
+    size = build(mean_n, tail).probs.size
+    target = mp.log(tail)
+    slack = 8 * np.finfo(float).eps * abs(target)
+    assert mp.log(tail_at(mean_n, size)) <= target + slack
+    assert mp.log(tail_at(mean_n, size - 1)) > target - slack
 
 
 @pytest.mark.parametrize(
