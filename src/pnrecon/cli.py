@@ -121,9 +121,10 @@ def _cmd_reconstruct(args) -> int:
     events = metadata.get("nu") if args.events is None else args.events
     constraints = constraint_set("even" if args.even_support else None, mat.n_max + 1)
     report = solve(mat, counts, constraints, solver_config(options, counts, events))
-    distio.write_distribution(args.output, report.estimate, fmt=args.format)
-    if args.report:
-        distio.write_json(args.report, report.as_dict())
+    with distio._format_once():  # the report repeats the estimate
+        distio.write_distribution(args.output, report.estimate, fmt=args.format)
+        if args.report:
+            distio.write_json(args.report, report.as_dict())
     print(
         f"wrote {args.output} (iterations={report.iterations_run}, "
         f"stop={report.stop_reason})"

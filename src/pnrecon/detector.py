@@ -207,9 +207,12 @@ def build_response(
         raise ValueError("n_max and m_max must be nonnegative")
     entries = np.empty((m_max + 1, n_max + 1), order="F")
     _poisson_pmf(params.n_noise, entries[:, 0])
-    eta, counted = params.eta, np.empty(m_max + 1)
+    # 0-d arrays, not floats as chi in landweber: this loop makes n_max short
+    # calls (702 on 322 entries each at thermal_fig1), so float handling shows
+    eta, counted = np.array(params.eta), np.empty(m_max + 1)
     head = counted[:-1]  # eta col, shifted down a row into rows 1..m_max
-    kept, operand = (np.subtract, counted) if eta < 0.5 else (np.multiply, 1.0 - eta)
+    kept, operand = ((np.subtract, counted) if params.eta < 0.5
+                     else (np.multiply, np.array(1.0 - params.eta)))
     multiply, add = np.multiply, np.add
     for col, nxt, low in zip(entries.T, entries.T[1:], entries[1:].T[1:]):
         multiply(col, eta, counted)
@@ -219,7 +222,8 @@ def build_response(
 
 
 def zero_pad(values, size: int, name: str, limit: str) -> np.ndarray:
-    """``values`` as a float vector zero-padded to ``size``; a longer
+    """``values`` as a float vector zero-padded to ``size``, with no copy
+    (the checked input itself) when it already has that size; a longer
     vector raises ValueError naming it (``name``) and the ``limit``, and
     anything but a 1-d vector ValueError naming its shape."""
     values = _require_vector(values, name)
@@ -227,7 +231,7 @@ def zero_pad(values, size: int, name: str, limit: str) -> np.ndarray:
         raise ValueError(
             f"{name} of length {values.size} exceeds {limit} {size}"
         )
-    return np.pad(values, (0, size - values.size))
+    return values if values.size == size else np.pad(values, (0, size - values.size))
 
 
 def forward(mat: ResponseMatrix, p: PhotonDistribution) -> np.ndarray:

@@ -5,17 +5,23 @@ metadata (bare JSON arrays and whitespace/comma-separated text are also
 accepted on input). Floats are always written with 17 significant digits
 so values round-trip exactly and repeated runs produce byte-identical
 files. Float arrays are formatted in bulk: one finiteness check per array
-and one C-level "%.17g" pass per row, giving the same bytes as
-formatting each value on its own. A JSON write checks the whole object
-(non-finite values, unsupported types) before it opens the file, so a
-failed write leaves no file and an existing one untouched; it then
-streams the text a row at a time, needing about one row beyond the object.
+and one C-level "%.17g" pass per vector or matrix row, giving the same
+bytes as formatting each value on its own. Inside a ``_format_once()``
+block each distinct vector (by dtype and bytes) is formatted once and
+its texts are reused by every later write that carries it, so a run that
+writes one vector to several files formats it once; the memo is dropped
+when the block exits. A JSON write checks the whole object (non-finite
+values, unsupported types) before it opens the file, so a failed write
+leaves no file and an existing one untouched; it then streams the text a
+row at a time, needing about one row beyond the object.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
 from pathlib import Path
 
@@ -23,7 +29,7 @@ import numpy as np
 
 from .detector import DetectorParams, ResponseMatrix
 from .states import (_SUM_UPPER_SLACK, ParseError, _require_integer,
-                     _require_probabilities, parse_vector)
+                     _require_probabilities, _require_vector, parse_vector)
 
 __all__ = [
     "dumps",
@@ -43,10 +49,46 @@ def _format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+# the texts of each vector formatted in the current _format_once() block,
+# keyed by (dtype, bytes); None outside any block
+_memo: ContextVar[dict | None] = ContextVar("pnrecon_distio_memo", default=None)
+
+
+@contextmanager
+def _format_once():
+    """Within the block, format each distinct float vector once and hand
+    its texts to every write that carries it; the memo goes on exit."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _format_vector(values: np.ndarray) -> list[str]:
+    """The "%.17g" texts of a checked 1-d float vector, in one C-level pass."""
+    if not values.size:
+        return []
+    return (",".join(["%.17g"] * values.size) % tuple(values.tolist())).split(",")
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """_format_vector(values), taken from the memo of the enclosing
+    _format_once() block if it holds that vector's texts."""
+    memo = _memo.get()
+    if memo is None:
+        return _format_vector(values)
+    key = (values.dtype.str, values.tobytes())
+    texts = memo.get(key)
+    if texts is None:
+        texts = memo[key] = _format_vector(values)
+    return texts
+
+
 def _format_rows(values: np.ndarray, sep: str) -> Iterator[str]:
-    """Check a 1-D or 2-D float array (a 1-D array is one row), then return
-    a lazy iterator over its rows, each row's "%.17g" entries joined by sep
-    in a single C-level pass."""
+    """Check a 1-D or 2-D float array (a 1-D array is one row, its texts
+    from _texts), then return a lazy iterator over its rows, each row's
+    "%.17g" entries joined by sep."""
     finite = np.isfinite(values)
     if not finite.all():
         at = tuple(np.argwhere(~finite)[0].tolist())
@@ -54,8 +96,10 @@ def _format_rows(values: np.ndarray, sep: str) -> Iterator[str]:
             f"cannot serialize non-finite value {float(values[at])!r} "
             f"at index {', '.join(map(str, at))}"
         )
+    if values.ndim == 1:
+        return (sep.join(_texts(row)) for row in [values])
     fmt = sep.join(["%.17g"] * values.shape[-1])
-    return (fmt % tuple(row.tolist()) for row in np.atleast_2d(values))
+    return (fmt % tuple(row.tolist()) for row in values)
 
 
 def _walk(obj, indent: int) -> Iterator:
@@ -194,14 +238,19 @@ def read_counts(path) -> tuple[np.ndarray, dict]:
 
 
 def write_plot_table(path, columns: dict) -> None:
-    """Write aligned series as CSV: one header row, then one row per index,
-    shorter series padded with zeros."""
+    """Write aligned 1-d series as CSV: one header row, then one row per
+    index, shorter series padded with "0" cells (as +0.0 formats)."""
     names = list(columns)
-    arrays = [np.asarray(columns[name], dtype=float) for name in names]
+    arrays = [_require_vector(columns[name], f"column {name!r}") for name in names]
     length = max(arr.size for arr in arrays)
-    table = np.zeros((length, len(arrays)))  # +0.0 formats as "0"
-    for j, arr in enumerate(arrays):
-        table[: arr.size, j] = arr
-    rows = [",".join(["n"] + names)]
-    rows += [f"{i},{row}" for i, row in enumerate(_format_rows(table, ","))]
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    bad = [(int(np.argmin(finite)), j) for j, finite in enumerate(map(np.isfinite, arrays))
+           if not finite.all()]
+    if bad:
+        i, j = min(bad)
+        raise ValueError(
+            f"cannot serialize non-finite value {float(arrays[j][i])!r} at index {i}, {j}"
+        )
+    cells = [_texts(arr) + ["0"] * (length - arr.size) for arr in arrays]
+    rows = map(",".join, zip(map(str, range(length)), *cells))
+    Path(path).write_text("\n".join(chain([",".join(["n"] + names)], rows)) + "\n",
+                          encoding="utf-8")

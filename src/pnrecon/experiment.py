@@ -321,7 +321,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
                 },
             )
 
-    with _stage("output"):
+    with _stage("output"), distio._format_once():  # each vector formatted once
         distio.write_distribution(
             out / "photon_true.json",
             photon.probs,

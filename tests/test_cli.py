@@ -130,6 +130,20 @@ class TestSubcommands:
         assert metadata == {}  # bare JSON array form
         assert out.read_text().lstrip().startswith("[")
 
+    def test_reconstruct_formats_the_estimate_once(self, tmp_path, monkeypatch):
+        # the report repeats the estimate: one formatting serves both files
+        monkeypatch.chdir(tmp_path)
+        for argv in README_CHAIN[:4]:
+            assert run_cli(*argv) == 0, argv
+        keys, original = [], distio._format_vector
+        monkeypatch.setattr(distio, "_format_vector",
+                            lambda values: keys.append(values.tobytes()) or original(values))
+        assert run_cli(*README_CHAIN[4]) == 0
+        estimate, _ = distio.read_distribution("rec.json")
+        assert keys.count(estimate.tobytes()) == 1
+        assert json.loads(Path("solve.json").read_text())["estimate"] == estimate.tolist()
+        assert distio._memo.get() is None
+
     def test_gen_state_missing_parameter_is_config_error(self, tmp_path):
         out = tmp_path / "state.json"
         assert run_cli("gen-state", "thermal", "--output", str(out)) == 2

@@ -19,11 +19,12 @@ from pnrecon.detector import (
     forward,
     response_entry,
     suggest_m_max,
+    zero_pad,
 )
 from pnrecon import distio
 from pnrecon.experiment import bundled_config_names, load_config
 from pnrecon.landweber import ConstraintSet, LandweberConfig, SolveReport, solve
-from pnrecon.metrics import relative_residual
+from pnrecon.metrics import relative_error, relative_residual
 from pnrecon.sampling import SamplingConfig, expected_sampling_error, sample_counts
 from pnrecon.states import PhotonDistribution, fock, thermal
 
@@ -443,6 +444,66 @@ class TestThinningBuild:
             for n in range(n_max + 1):
                 assert mat.entries[m, n] == pytest.approx(
                     response_entry(params, m, n), rel=1e-11, abs=1e-300), (m, n)
+
+
+def float_scalar_build(params: DetectorParams, n_max: int, m_max: int) -> np.ndarray:
+    """build_response's thinning loop with eta and 1 - eta as Python
+    floats: the bitwise reference for the 0-d array operands."""
+    entries = np.empty((m_max + 1, n_max + 1), order="F")
+    entries[:, 0] = build_response(params, 0, m_max).entries[:, 0]
+    eta, counted = params.eta, np.empty(m_max + 1)
+    head = counted[:-1]
+    kept, operand = (np.subtract, counted) if eta < 0.5 else (np.multiply, 1.0 - eta)
+    for col, nxt, low in zip(entries.T, entries.T[1:], entries[1:].T[1:]):
+        np.multiply(col, eta, counted)
+        kept(col, operand, nxt)
+        np.add(low, head, low)
+    return entries
+
+
+class TestBuildBits:
+    @pytest.mark.parametrize(
+        "params,n_max,m_max",
+        [(DetectorParams(0.34, 0.30), 702, 321), (DetectorParams(0.7764, 0.748), 276, 255)],
+        ids=["eta-below-half", "eta-at-least-half"],
+    )
+    def test_entries_match_float_scalar_loop(self, params, n_max, m_max):
+        built = build_response(params, n_max, m_max).entries
+        assert built.tobytes() == float_scalar_build(params, n_max, m_max).tobytes()
+
+
+class TestZeroPad:
+    def test_full_length_float_vector_is_not_copied(self):
+        values = np.linspace(0.0, 1.0, 5)
+        assert zero_pad(values, 5, "v", "limit") is values
+        padded = zero_pad(values, 7, "v", "limit")
+        assert padded.tolist() == values.tolist() + [0.0, 0.0]
+
+    def test_read_only_inputs_accepted_and_unchanged(self):
+        cfg = load_config("thermal_fig1")
+        photon = cfg.photon
+        mat = build_response(cfg.detector_assumed, photon.n_max, 321)
+
+        def frozen(values):
+            values = np.array(values)
+            values.flags.writeable = False
+            return values
+
+        probs = frozen(photon.probs)
+        counts = forward(mat, PhotonDistribution(probs))
+        assert counts.tobytes() == forward(mat, photon).tobytes()
+        measured = frozen(sample_counts(counts, SamplingConfig(events=50_000, seed=1)))
+        config = LandweberConfig(noise_level=expected_sampling_error(measured, 50_000))
+        report = solve(mat, measured, ConstraintSet.nonnegative(), config)
+        assert report.iterations_run > 0
+        estimate = frozen(report.estimate)
+        for full, short in ((probs, probs[:-3]), (measured, measured[:-3])):
+            assert relative_error(short, full) == relative_error(np.array(short), full)
+        assert relative_residual(mat, estimate, measured) > 0.0
+        assert probs.tobytes() == photon.probs.tobytes()
+        assert measured.tobytes() == sample_counts(
+            counts, SamplingConfig(events=50_000, seed=1)).tobytes()
+        assert estimate.tobytes() == report.estimate.tobytes()
 
 
 class TestForward:

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from pnrecon import distio
 from pnrecon.detector import DetectorParams, build_response
+from pnrecon.experiment import load_config, run_experiment
 from pnrecon.states import ParseError
 
 
@@ -138,6 +140,75 @@ class TestBulkFormattingMatchesReference:
         assert path.read_text(encoding="utf-8") == expected + "\n"
 
 
+vector_pools = st.lists(
+    hnp.arrays(np.float64, st.integers(0, 8), elements=finite_floats), min_size=1, max_size=3
+)
+
+
+class TestFormatOnce:
+    """Inside a _format_once() block each distinct vector is formatted
+    once; every file keeps the reference bytes."""
+
+    @given(vector_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+    def test_plot_table_with_shared_columns(self, tmp_path_factory, arrays):
+        columns = {f"c{j}": arr for j, arr in enumerate(arrays)}
+        path = tmp_path_factory.mktemp("plot") / "plot.csv"
+        expected = _reference_plot_table(columns)
+        with distio._format_once():
+            for _ in range(2):  # the second pass reads the memo
+                distio.write_plot_table(path, columns)
+                assert path.read_text(encoding="utf-8") == expected
+
+    @given(payloads)
+    def test_dumps(self, payload):
+        expected = _reference_dumps(payload)
+        with distio._format_once():
+            assert distio.dumps(payload) == expected
+            assert distio.dumps(payload) == expected
+
+    def test_equal_values_with_other_bytes_or_dtype_kept_apart(self, tmp_path):
+        # +0.0 == -0.0 and a float32 view shares the float64 bytes; keys
+        # by value or by bytes alone would hand one the other's texts
+        double = np.array([1.5, -0.0])
+        payload = [np.array([0.0, -0.0]), np.array([-0.0, 0.0]), np.zeros(2),
+                   double, double.view(np.float32)]
+        columns = {f"c{j}": values for j, values in enumerate(payload)}
+        with distio._format_once():
+            assert distio.dumps(payload) == _reference_dumps(payload)
+            distio.write_plot_table(tmp_path / "plot.csv", columns)
+        assert (tmp_path / "plot.csv").read_text(encoding="utf-8") == (
+            _reference_plot_table(columns)
+        )
+
+    def test_memo_lives_only_in_the_block_and_its_context(self):
+        seen = []
+        assert distio._memo.get() is None
+        with distio._format_once():
+            distio.dumps([np.array([0.5, 0.25]), np.array([0.5, 0.25])])
+            assert len(distio._memo.get()) == 1
+            thread = threading.Thread(target=lambda: seen.append(distio._memo.get()))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [None]
+        assert distio._memo.get() is None
+
+    def test_run_formats_each_vector_once(self, tmp_path, monkeypatch):
+        keys, original = [], distio._format_vector
+
+        def counting(values):
+            keys.append((values.dtype.str, values.tobytes()))
+            return original(values)
+
+        monkeypatch.setattr(distio, "_format_vector", counting)
+        run_experiment(load_config("thermal_fig1"), tmp_path)
+        assert distio._memo.get() is None
+        assert len(keys) == len(set(keys))
+        for name in ("photon_true", "counts_empirical", "estimate"):
+            values, _ = distio.read_distribution(tmp_path / f"{name}.json")
+            assert (values.dtype.str, values.tobytes()) in keys, name  # in two or three files
+
+
 class TestStreamingWriter:
     """write_json checks the whole object, then streams it into the file
     one piece (a 2-D float array: one row) at a time."""
@@ -228,6 +299,12 @@ class TestNonFiniteArrays:
             distio.write_plot_table(
                 tmp_path / "plot.csv",
                 {"a": np.zeros(4), "b": np.array([0.1, 0.2, np.nan])},
+            )
+        # the first in row order, as in the padded table
+        with pytest.raises(ValueError, match=r"value inf at index 1, 1$"):
+            distio.write_plot_table(
+                tmp_path / "plot.csv",
+                {"a": np.array([0.0, 0.0, 0.0, np.nan]), "b": np.array([0.1, np.inf])},
             )
 
 
@@ -422,6 +499,11 @@ class TestMatrixFiles:
 
 
 class TestPlotTable:
+    def test_column_must_be_1d(self, tmp_path):
+        with pytest.raises(ValueError, match=r"column 'b' must be a 1-d vector, got shape \(2, 2\)"):
+            distio.write_plot_table(tmp_path / "plot.csv", {"a": np.zeros(3), "b": np.zeros((2, 2))})
+        assert not (tmp_path / "plot.csv").exists()
+
     def test_columns_padded_and_parseable(self, tmp_path):
         path = tmp_path / "plot.csv"
         distio.write_plot_table(
