@@ -4,9 +4,13 @@ Distributions travel as JSON objects with a "probs" array plus free-form
 metadata (bare JSON arrays and whitespace/comma-separated text are also
 accepted on input). Floats are always written with 17 significant digits
 so values round-trip exactly and repeated runs produce byte-identical
-files. Float arrays are formatted in bulk: one finiteness check per array
-and one C-level "%.17g" pass per vector or matrix row, giving the same
-bytes as formatting each value on its own. Inside a ``_format_once()``
+files. A float vector is written one value per line and a float matrix
+(a response matrix's entries) one row per line, as ``[v, v, ...]``, so
+a matrix file carries about a fifth less indent whitespace than one
+number per line would, and reading one holds less text next to its
+Python floats. Float arrays are formatted in bulk: one finiteness check
+per array and one C-level "%.17g" pass per vector or matrix row, giving
+the same bytes as formatting each value on its own. Inside a ``_format_once()``
 block each distinct vector (by dtype and bytes) is formatted once and
 its texts are reused by every later write that carries it, so a run that
 writes one vector to several files formats it once; the memo is dropped
@@ -105,14 +109,16 @@ def _format_rows(values: np.ndarray, sep: str) -> Iterator[str]:
 def _walk(obj, indent: int) -> Iterator:
     """Yield the JSON text of obj in pieces, checking each value when it is
     reached; a float array is checked whole and then yields one lazy
-    iterator over its formatted rows."""
+    iterator over its lines: one value each for a vector, one row each,
+    as ``[v, v, ...]``, for a matrix."""
     pad, inner = " " * indent, " " * (indent + 2)
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2) and obj.size:
-        deep = " " * (indent + 2 * obj.ndim)
-        head, tail = ("[\n" + deep, "\n" + inner + "]") if obj.ndim == 2 else ("", "")
-        rows = _format_rows(obj, ",\n" + deep)
+        if obj.ndim == 2:  # one matrix row per line
+            rows = ("[" + row + "]" for row in _format_rows(obj, ", "))
+        else:  # one value per line
+            rows = _format_rows(obj, ",\n" + inner)
         yield "[\n"
-        yield ((",\n" if m else "") + inner + head + row + tail for m, row in enumerate(rows))
+        yield ((",\n" if m else "") + inner + row for m, row in enumerate(rows))
         yield "\n" + pad + "]"
         return
     if isinstance(obj, np.ndarray):
@@ -162,8 +168,10 @@ def write_distribution(path, values, metadata=None, fmt: str = "json") -> None:
     fmt "json" produces a bare JSON array, or an object with a "probs"
     array when metadata is supplied; fmt "csv" produces plain newline-
     separated reals. All three forms are accepted back by the readers.
+    In either format ``values`` must be a 1-d vector: anything else
+    raises ValueError naming its shape, and no file is written.
     """
-    values = np.asarray(values, dtype=float)
+    values = _require_vector(values, "distribution")
     if fmt == "csv":
         lines = next(_format_rows(values, "\n"))
         Path(path).write_text(lines + "\n", encoding="utf-8")

@@ -10,6 +10,15 @@ the indices whenever eta < 1, which is exactly why reconstruction through
 this matrix amplifies statistical noise catastrophically; the module keeps
 entries in signed-log form and surfaces overflow as a structured error
 naming the offending index instead of saturating silently.
+
+One private row builder makes the signed-log entries of any band of rows
+n over the full count window: ``build_inverse`` calls it once for the
+whole window, and ``direct_reconstruct`` calls it for 16 rows at a time,
+range-checking and summing each block before building the next. The
+entries are elementwise, so a block holds the same bits as the same rows
+of the whole window, while the reconstruction needs memory for 16 rows
+instead of seven window-sized grids and refuses an overflowing window at
+its first overflowing block.
 """
 
 from __future__ import annotations
@@ -39,15 +48,17 @@ class InversionOverflowError(OverflowError):
         self.m = m
 
 
-def _check_range(log_values: np.ndarray) -> None:
+def _check_range(log_values: np.ndarray, n_first: int) -> None:
     """Raise InversionOverflowError naming the (n, m) of the largest series
-    term in ``log_values`` (dead terms -inf) if it is beyond double range."""
-    n, m = np.unravel_index(np.argmax(log_values), log_values.shape)
-    if log_values[n, m] > MAX_LOG:
+    term in ``log_values`` (dead terms -inf), its rows being n = n_first,
+    n_first + 1, ..., if it is beyond double range."""
+    row, m = np.unravel_index(np.argmax(log_values), log_values.shape)
+    if log_values[row, m] > MAX_LOG:
+        n = n_first + int(row)
         raise InversionOverflowError(
             f"series term at n={n}, m={m} has log magnitude "
-            f"{log_values[n, m]:.6g}, beyond double range",
-            int(n),
+            f"{log_values[row, m]:.6g}, beyond double range",
+            n,
             int(m),
         )
 
@@ -99,26 +110,23 @@ def inverse_entry(params: DetectorParams, n: int, m: int) -> tuple[float, int]:
     return _log_inverse_m_ge_n(params, n, m)
 
 
-def build_inverse(
-    params: DetectorParams, n_max: int, m_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize Sinv on the given window in signed-log form: the pair
-    (log magnitude, int8 sign) of arrays, rows n = 0..n_max and columns
-    m = 0..m_max, a dead entry being (-inf, 0).
+# rows of the inverse that direct_reconstruct builds, checks and sums at once
+_BLOCK_ROWS = 16
 
-    Matches :func:`inverse_entry` entry by entry; the Kummer factors for
-    the whole window share the argument y, so the series is run once over
-    the index grids.
-    """
-    if n_max < 0 or m_max < 0:
-        raise ValueError("n_max and m_max must be nonnegative")
+
+def _log_inverse_rows(
+    params: DetectorParams, rows: range, m_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log magnitude, int8 sign) of Sinv on rows n in ``rows`` and columns
+    m = 0..m_max, a dead entry being (-inf, 0). The Kummer factors of the
+    band share the argument y, so the series is run once over its grids."""
     noise = params.n_noise
-    n = np.arange(n_max + 1)[:, None]
+    n = np.arange(rows.start, rows.stop)[:, None]
     m = np.arange(m_max + 1)[None, :]
     diff = np.abs(n - m)
     y = noise * (1.0 - params.eta) / params.eta
     log_mag = log_kummer(np.maximum(n, m) + 1.0, diff + 1.0, y)  # ln Phi, in place below
-    table = log_factorial_table(max(n_max, m_max))
+    table = log_factorial_table(max(rows.stop - 1, m_max))
     log_eta = math.log(params.eta)
 
     log_mag += noise
@@ -145,6 +153,22 @@ def build_inverse(
     return log_mag, sign
 
 
+def build_inverse(
+    params: DetectorParams, n_max: int, m_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Materialize Sinv on the given window in signed-log form: the pair
+    (log magnitude, int8 sign) of arrays, rows n = 0..n_max and columns
+    m = 0..m_max, a dead entry being (-inf, 0).
+
+    Matches :func:`inverse_entry` entry by entry; the Kummer factors for
+    the whole window share the argument y, so the series is run once over
+    the index grids. Peaks at about seven window-sized arrays.
+    """
+    if n_max < 0 or m_max < 0:
+        raise ValueError("n_max and m_max must be nonnegative")
+    return _log_inverse_rows(params, range(n_max + 1), m_max)
+
+
 def direct_reconstruct(params: DetectorParams, counts, n_max: int) -> np.ndarray:
     """Invert the forward map through the analytic series:
 
@@ -154,14 +178,24 @@ def direct_reconstruct(params: DetectorParams, counts, n_max: int) -> np.ndarray
     term order does not matter. The output is returned raw: entries may
     be negative and the vector need not be normalized. This estimator is
     the unstable baseline; expect noise amplification that grows with n.
+
+    The inverse is built, range-checked and summed 16 rows at a time, with
+    the same bits as the whole-window :func:`build_inverse`, so memory
+    stays at a few 16-row blocks. An InversionOverflowError names the
+    largest term of the first block (in n) that holds an overflowing term.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     probs = _require_vector(counts, "count vector")
     _require_probabilities(probs, "count", "m")
-    log_magnitude, sign = build_inverse(params, n_max, probs.size - 1)
     with np.errstate(divide="ignore"):
-        log_terms = log_magnitude + np.log(probs)[None, :]
-    _check_range(log_terms)
-    terms = sign * np.exp(log_terms)
-    return np.array([math.fsum(row) for row in terms])
+        log_probs = np.log(probs)
+    estimate = np.empty(n_max + 1)
+    for first in range(0, n_max + 1, _BLOCK_ROWS):
+        rows = range(first, min(first + _BLOCK_ROWS, n_max + 1))
+        log_terms, sign = _log_inverse_rows(params, rows, probs.size - 1)
+        log_terms += log_probs
+        _check_range(log_terms, first)
+        terms = sign * np.exp(log_terms)
+        estimate[first:rows.stop] = [math.fsum(row) for row in terms]
+    return estimate

@@ -938,6 +938,29 @@ class TestRunExperiment:
         (tmp_path / "metrics.txt").write_text(capsys.readouterr().out, encoding="utf-8")
         check_output_digests("readme_cli_chain", tmp_path)
 
+    def test_readme_cli_chain_memory_per_step(self, tmp_path, monkeypatch):
+        # matrix files hold one row per line and invert-direct builds the
+        # inverse 16 rows at a time (it used to peak at 12.9 MB here), so
+        # the read of the 322 x 703 matrix file sets the chain's peak
+        monkeypatch.chdir(tmp_path)
+        peaks = {}
+        for argv in README_CHAIN:
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv) == 0, argv
+                peaks[argv[0]] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            distio.read_matrix("S.json")
+            read = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks["invert-direct"] < 1e6
+        # the steps that read the matrix also hold a few kB of their own
+        assert max(peaks.values()) <= 1.01 * read, (peaks, read)
+
     def test_bundled_config_loads(self):
         config = load_config("thermal_fig1")
         assert config.detector_true.eta == 0.34

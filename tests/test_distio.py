@@ -15,7 +15,8 @@ from pnrecon.states import ParseError
 
 
 # Reference serializer: the per-element formatter the bulk path replaced,
-# copied verbatim apart from its name. Every file must keep its bytes.
+# copied verbatim apart from its name and the float-matrix case, which
+# writes one row per line. Every file must keep its bytes.
 def _format_float(value: float) -> str:
     if not np.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value!r}")
@@ -35,6 +36,9 @@ def _reference_dumps(obj, indent: int = 0) -> str:
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and obj.size:
+        parts = [f"{inner}[{', '.join(map(_format_float, row))}]" for row in obj.tolist()]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
@@ -365,6 +369,16 @@ class TestDistributionFiles:
         with pytest.raises(ValueError):
             distio.write_distribution(tmp_path / "d", np.ones(1), fmt="xml")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [np.arange(6.0).reshape(2, 3), 0.5], ids=["2x3", "0-d"])
+    def test_values_must_be_a_vector(self, tmp_path, fmt, bad):
+        # csv used to write a matrix's first row, json the whole matrix
+        path = tmp_path / f"d.{fmt}"
+        with pytest.raises(ValueError, match=re.escape(
+                f"distribution must be a 1-d vector, got shape {np.shape(bad)}")):
+            distio.write_distribution(path, bad, fmt=fmt)
+        assert not path.exists()
+
 
 class TestCountFiles:
     def test_values_and_metadata_returned(self, tmp_path):
@@ -409,6 +423,19 @@ class TestMatrixFiles:
         assert np.array_equal(back.entries, mat.entries)
         assert back.params == mat.params
         assert np.allclose(back.col_tail, mat.col_tail, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "params, n_max, m_max",
+        [(DetectorParams(0.34, 0.30), 702, 321), (DetectorParams(0.7764, 0.748), 276, 255)],
+        ids=["thermal_fig1", "spats_fig3"],
+    )
+    def test_round_trip_bit_identical(self, tmp_path, params, n_max, m_max):
+        mat = build_response(params, n_max, m_max)
+        path = tmp_path / "S.json"
+        distio.write_matrix(path, mat)
+        back = distio.read_matrix(path)
+        assert back.entries.tobytes(order="A") == mat.entries.tobytes(order="A")
+        assert back.entries.flags.f_contiguous
 
     def test_schema_fields(self, tmp_path):
         mat = build_response(DetectorParams(0.5, 0.1), 3, 4)

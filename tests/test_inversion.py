@@ -10,6 +10,7 @@ from pnrecon.detector import (
     DetectorParams,
     build_response,
     forward,
+    suggest_m_max,
 )
 from pnrecon import inversion
 from pnrecon.inversion import (
@@ -20,7 +21,9 @@ from pnrecon.inversion import (
     direct_reconstruct,
     inverse_entry,
 )
-from pnrecon.states import fock
+from pnrecon.experiment import load_config
+from pnrecon.special import MAX_LOG
+from pnrecon.states import fock, thermal
 
 mp.mp.dps = 50
 
@@ -39,6 +42,28 @@ def dense_inverse(params, n_max, m_max):
     """Sinv on the window as plain floats."""
     log_mag, sign = build_inverse(params, n_max, m_max)
     return sign * np.exp(log_mag)
+
+
+def whole_window_reconstruct(params, counts, n_max):
+    """direct_reconstruct as one whole-window expression: the reference
+    that its row blocks must match bit for bit."""
+    probs = np.asarray(counts, dtype=float)
+    log_magnitude, sign = build_inverse(params, n_max, probs.size - 1)
+    with np.errstate(divide="ignore"):
+        log_terms = log_magnitude + np.log(probs)[None, :]
+    terms = sign * np.exp(log_terms)
+    return np.array([math.fsum(row) for row in terms])
+
+
+def spats_fig3_window():
+    """(assumed detector, exact counts, n_max) of the spats_fig3_direct run."""
+    config = load_config("spats_fig3_direct")
+    photon = config.photon
+    m_max = config.m_max
+    if m_max is None:
+        m_max = suggest_m_max(config.detector_true, photon.n_max, config.window_tail)
+    counts = forward(build_response(config.detector_true, photon.n_max, m_max), photon)
+    return config.detector_assumed, counts, photon.n_max
 
 
 def inverse_oracle(eta, n_noise, n, m):
@@ -225,7 +250,7 @@ class TestDirectReconstruct:
     @NOT_VECTORS
     def test_count_vector_must_be_1d(self, bad, monkeypatch):
         # unchecked, a 2x2 array failed in numpy's broadcasting
-        monkeypatch.setattr(inversion, "build_inverse", None)  # no build
+        monkeypatch.setattr(inversion, "_log_inverse_rows", None)  # no build
         with pytest.raises(ValueError, match=re.escape(
                 f"count vector must be a 1-d vector, got shape {np.shape(bad)}")):
             direct_reconstruct(DetectorParams(0.8, 0.1), bad, 2)
@@ -263,3 +288,63 @@ class TestDirectReconstruct:
         noisy /= noisy.sum()
         got = direct_reconstruct(params, noisy, 60)
         assert np.any(got < 0)
+
+
+class TestRowBlocks:
+    """direct_reconstruct builds, checks and sums the inverse 16 rows at a
+    time; its output keeps the bits of the whole-window expression."""
+
+    def test_spats_fig3_window_matches_whole_window(self):
+        params, counts, n_max = spats_fig3_window()
+        got = direct_reconstruct(params, counts, n_max)
+        assert got.tobytes() == whole_window_reconstruct(params, counts, n_max).tobytes()
+
+    @pytest.mark.parametrize("n_max", [0, 15, 16, 17, 40])
+    @pytest.mark.parametrize(
+        "params",
+        [DetectorParams(0.7764, 0.748), DetectorParams(0.5, 0.0), DetectorParams(1.0, 0.7)],
+        ids=["lossy-noisy", "noiseless", "lossless"],
+    )
+    def test_block_edges_match_whole_window(self, params, n_max):
+        rng = np.random.default_rng(n_max)
+        counts = rng.random(n_max + 12)
+        counts[::5] = 0.0  # dead log counts
+        counts /= 1.5 * counts.sum()
+        got = direct_reconstruct(params, counts, n_max)
+        assert got.tobytes() == whole_window_reconstruct(params, counts, n_max).tobytes()
+
+    def test_memory_stays_below_one_window_array(self):
+        # build_inverse peaks at about seven of these on this window
+        params, counts, n_max = spats_fig3_window()
+        window_bytes = (n_max + 1) * counts.size * 8
+        direct_reconstruct(params, counts, n_max)  # factorial table grown outside the trace
+        tracemalloc.start()
+        try:
+            direct_reconstruct(params, counts, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < window_bytes
+
+    def test_overflow_refused_at_its_first_block_in_bounded_memory(self):
+        # thermal mean 100 through the README detectors: 2315 x 935, whose
+        # whole-window build held seven 17 MB grids before it could refuse
+        photon = thermal(100)
+        true, assumed = DetectorParams(0.34, 0.30), DetectorParams(0.35, 0.29)
+        m_max = suggest_m_max(true, photon.n_max, 1e-10)
+        counts = forward(build_response(true, photon.n_max, m_max), photon)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InversionOverflowError) as err:
+                direct_reconstruct(assumed, counts, photon.n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        n, m = err.value.n, err.value.m
+        assert inverse_entry(assumed, n, m)[0] + math.log(counts[m]) > MAX_LOG
+        first = n - n % inversion._BLOCK_ROWS
+        if first:  # the rows before its block hold no overflowing term
+            log_magnitude, _ = build_inverse(assumed, first - 1, m_max)
+            with np.errstate(divide="ignore"):
+                assert np.max(log_magnitude + np.log(counts)) <= MAX_LOG
