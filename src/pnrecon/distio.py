@@ -17,7 +17,9 @@ writes one vector to several files formats it once; the memo is dropped
 when the block exits. A JSON write checks the whole object (non-finite
 values, unsupported types) before it opens the file, so a failed write
 leaves no file and an existing one untouched; it then streams the text a
-row at a time, needing about one row beyond the object.
+row at a time, needing about one row beyond the object. A matrix file in
+write_matrix's own layout is read a row line at a time, holding about two
+copies of the matrix; any other layout is read whole, to the same result.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ import json
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 
 import numpy as np
 
 from .detector import DetectorParams, ResponseMatrix
-from .states import (_SUM_UPPER_SLACK, ParseError, _require_integer,
-                     _require_probabilities, _require_vector, parse_vector)
+from .states import (_SUM_UPPER_SLACK, ParseError, _read_vector, _require_integer,
+                     _require_probabilities, _require_vector)
 
 __all__ = [
     "dumps",
@@ -188,7 +190,7 @@ def write_distribution(path, values, metadata=None, fmt: str = "json") -> None:
 
 def read_distribution(path) -> tuple[np.ndarray, dict]:
     """Read any accepted distribution format; returns (values, metadata)."""
-    return parse_vector(Path(path).read_text(encoding="utf-8"))
+    return _read_vector(path)
 
 
 def write_matrix(path, mat: ResponseMatrix) -> None:
@@ -216,16 +218,44 @@ def _require_numbers(rows) -> None:
         raise ValueError(f"entry {value!r} at (m, n) = ({m}, {n}) is not a JSON number")
 
 
+def _stream_payload(path) -> dict | None:
+    """The payload of a file in write_matrix's layout: the lines before
+    '  "entries": [' by json.loads with "entries" empty, then each row line into
+    floats at once. None for any other layout, or a non-number or ragged row."""
+    rows = []
+    with Path(path).open(encoding="utf-8") as file:
+        try:
+            if file.readline(3) != "{\n":  # compact JSON would be parsed twice
+                return None
+            header = "".join(takewhile(lambda line: line != '  "entries": [\n', file))
+            payload = json.loads("{\n" + header + '  "entries": []\n}')
+            for line in file:
+                if not (line.startswith("    [") and line.endswith(("],\n", "]\n"))):
+                    return None
+                row = json.loads(line[4:].rstrip(",\n"))
+                if not set(map(type, row)) <= {int, float} or (rows and len(row) != rows[0].size):
+                    return None
+                rows.append(np.array(row, dtype=float))
+                if line.endswith("]\n"):
+                    break
+            if file.read().split() != ["]", "}"]:  # also when no row line ends the list
+                return None
+        except (ValueError, OverflowError, RecursionError):  # a decode error is a ValueError
+            return None
+    payload["entries"] = np.array(rows, order="F")
+    return payload
+
+
 def read_matrix(path) -> ResponseMatrix:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = _stream_payload(path) or json.loads(Path(path).read_text(encoding="utf-8"))
         params = DetectorParams(payload["eta"], payload["n_noise"])
         m_max, n_max = (_require_integer(k, payload[k]) for k in ("m_max", "n_max"))
         if min(m_max, n_max) < 0:
             raise ValueError(f"m_max and n_max must be >= 0, got {m_max}, {n_max}")
         _require_numbers(payload["entries"])
         mat = ResponseMatrix(payload["entries"], params)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"invalid response-matrix file {path}: {exc}") from exc
     if mat.entries.shape != (m_max + 1, n_max + 1):
         raise ParseError(

@@ -256,7 +256,7 @@ def load_config(ref, seed=None) -> ExperimentConfig:
             )
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ConfigError(f"cannot read config {ref!r}: {exc}") from exc
     return ExperimentConfig.from_dict(payload, seed=seed, base=path.parent)
 

@@ -2,11 +2,13 @@
 
 Draws independent categorical samples by inverse-CDF lookup on a uniform
 stream derived from the PCG64 bit generator. The uniform mapping is pinned
-here explicitly (top 53 bits of each 64-bit word), so the sample stream is
-fully specified by (distribution, events, seed) and reproduces across
-platforms and library versions. Events are drawn in fixed chunks of one
-sequential stream, so memory stays bounded and the counts do not depend
-on the chunk size.
+here explicitly (u = k / 2^53 for the top 53 bits k of each 64-bit word),
+so the sample stream is fully specified by (distribution, events, seed)
+and reproduces across platforms and library versions. The lookup compares
+the integers k themselves: u < c exactly when k < ceil(c * 2^53), both
+exact, so the counts are those of the uniforms bit for bit. Events are
+drawn in fixed chunks of one sequential stream, each dropped before the
+next, so memory stays one chunk and the counts do not depend on its size.
 """
 
 from __future__ import annotations
@@ -47,13 +49,15 @@ class SamplingConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def _uniform_stream(seed: int, count: int) -> Iterator[np.ndarray]:
-    """Uniforms in [0, 1) from the raw PCG64 output: u = (word >> 11) / 2^53,
-    yielded in successive chunks of at most _CHUNK_EVENTS."""
+def _word_stream(seed: int, count: int) -> Iterator[np.ndarray]:
+    """The integers k = word >> 11 of the raw PCG64 output (the uniforms are
+    k / 2^53), as uint64 in successive chunks of at most _CHUNK_EVENTS."""
     bitgen = np.random.PCG64(seed)
     for start in range(0, count, _CHUNK_EVENTS):
-        raw = bitgen.random_raw(min(_CHUNK_EVENTS, count - start))
-        yield (raw >> np.uint64(11)) * 2.0**-53
+        words = bitgen.random_raw(min(_CHUNK_EVENTS, count - start))
+        words >>= np.uint64(11)
+        yield words
+        del words  # one chunk alive at a time, if the caller drops its own
 
 
 def sample_counts(true_dist, config: SamplingConfig) -> np.ndarray:
@@ -70,11 +74,13 @@ def sample_counts(true_dist, config: SamplingConfig) -> np.ndarray:
         raise ValueError("invalid distribution: total mass is zero")
     cdf = np.cumsum(probs / total)
     cdf[-1] = 1.0  # close the window so every u < 1 lands inside
-    # below[m] counts draws u < cdf[m]; bin m holds cdf[m - 1] <= u < cdf[m]
+    # below[m] counts draws u < cdf[m], i.e. k < limits[m]; bin m holds cdf[m - 1] <= u < cdf[m]
+    limits = np.ceil(cdf * 2.0**53).astype(np.uint64)
     below = np.zeros(probs.size, dtype=np.intp)
-    for uniforms in _uniform_stream(config.seed, config.events):
-        uniforms.sort()
-        below += np.searchsorted(uniforms, cdf, side="left")
+    for words in _word_stream(config.seed, config.events):
+        words.sort()
+        below += np.searchsorted(words, limits, side="left")
+        del words  # drop the chunk before the next is drawn
     return np.diff(below, prepend=0) / config.events
 
 

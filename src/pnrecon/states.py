@@ -237,7 +237,7 @@ def parse_vector(text: str) -> tuple[np.ndarray, dict]:
     if stripped[:1] in ("[", "{"):
         try:
             payload = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ParseError(f"invalid JSON: {exc}") from exc
         if isinstance(payload, dict):
             if "probs" not in payload:
@@ -260,6 +260,15 @@ def parse_vector(text: str) -> tuple[np.ndarray, dict]:
     return values, metadata
 
 
+def _read_vector(path) -> tuple[np.ndarray, dict]:
+    """parse_vector of a file's text; a ParseError names the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_vector(handle.read())
+    except ParseError as exc:
+        raise ParseError(f"invalid distribution file {path}: {exc}") from exc
+
+
 def from_file(path) -> PhotonDistribution:
     """Load and validate a photon-number distribution from a file.
 
@@ -269,8 +278,7 @@ def from_file(path) -> PhotonDistribution:
     mistake the caller has to see; an accepted deficit becomes the
     truncation tail.
     """
-    with open(path, encoding="utf-8") as handle:
-        values, _ = parse_vector(handle.read())
+    values, _ = _read_vector(path)
     _require_probabilities(values, "photon", "n")
     total = float(values.sum())
     if 1.0 - total > _FILE_SUM_TOL or total > 1.0 + _SUM_UPPER_SLACK:

@@ -890,6 +890,39 @@ class TestExitCodes:
         assert caught.value.args[0] == errno.EISDIR
         assert "[stage: output]" in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [(["forward", "--detector", "{deep}", "--state", "{good}", "--output", "{out}"],
+          "ParseError"),
+         (["sample", "--counts", "{deep}", "--events", "10", "--output", "{out}"], "ParseError"),
+         (["metrics", "--estimate", "{deep}", "--truth", "{good}", "--output", "{out}"],
+          "ParseError"),
+         (["metrics", "--estimate", "{good}", "--truth", "{good}", "--detector", "{deep}",
+           "--measured", "{good}", "--output", "{out}"], "ParseError"),
+         (["run", "--config", "{deep}", "--output", "{out}"], "ConfigError"),
+         (["run", "--config", "{cfg}", "--output", "{out}"], "ConfigError")],
+        ids=["forward", "sample", "metrics-estimate", "metrics-detector", "run",
+             "run-state-file"],
+    )
+    def test_deeply_nested_json_is_2(self, tmp_path, capsys, argv, error):
+        # json.loads raises RecursionError on 1e5 nested arrays, which used
+        # to escape main as a traceback with exit code 1
+        paths = {name: tmp_path / f"{name}.json" for name in ("deep", "good", "cfg", "out")}
+        paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
+        distio.write_distribution(paths["good"], [0.5, 0.5])
+        paths["cfg"].write_text(
+            json.dumps({**SMALL_CONFIG, "state": {"kind": "file", "path": str(paths["deep"])}})
+        )
+        capsys.readouterr()
+        code = run_cli(*(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert not paths["out"].exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == argv[0]
+        assert err["error"] == error
+        assert str(paths["deep"]) in err["message"]
+        assert "recursion" in err["message"]
+
 
 class TestRunExperiment:
     @pytest.mark.parametrize(

@@ -525,6 +525,104 @@ class TestMatrixFiles:
             distio.read_matrix(path)
 
 
+def _set_entry(text: str, m: int, n: int, token: str) -> str:
+    """write_matrix text with entry (m, n) replaced by a JSON token."""
+    lines = text.split("\n")
+    at = lines.index('  "entries": [') + 1 + m
+    head, values = lines[at].split("[", 1)
+    tail = "]," if values.endswith("],") else "]"
+    cells = values[: -len(tail)].split(", ")
+    cells[n] = token
+    lines[at] = head + "[" + ", ".join(cells) + tail
+    return "\n".join(lines)
+
+
+def _matrix_layouts() -> dict:
+    """name -> (file bytes, whether read_matrix streams it)."""
+    mat = build_response(DetectorParams(0.5, 0.1), 3, 4)
+    base = distio.dumps({"eta": 0.5, "n_noise": 0.1, "n_max": 3, "m_max": 4,
+                         "entries": mat.entries}) + "\n"
+    payload = json.loads(base)
+    deep = "[" * 100_000 + "]" * 100_000
+    layouts = {
+        "write-matrix": (base, True),
+        "crlf": (base.replace("\n", "\r\n"), True),
+        "compact": (json.dumps(payload), False),
+        "one-number-per-line": (json.dumps(payload, indent=2), False),
+        "missing-comma": (base.replace("],\n    [", "]\n    [", 1), False),
+        "doubled-comma": (base.replace("],\n    [", "],,\n    [", 1), False),
+        "trailing-comma": (base.replace("]\n  ]\n}", "],\n  ]\n}"), False),
+        "key-after-entries": (base.replace("\n  ]\n}", '\n  ],\n  "note": 1\n}'), False),
+        "duplicate-entries-before": (
+            base.replace('  "entries": [\n', '  "entries": [[0.5]],\n  "entries": [\n'), True),
+        "duplicate-entries-after": (
+            base.replace("\n  ]\n}", '\n  ],\n  "entries": [[0.5]]\n}'), False),
+        "entries-empty": (json.dumps({**payload, "entries": []}, indent=2), False),
+        "ragged-row": (_set_entry(base, 2, 1, "0.5, 0.5"), False),
+        "non-number": (_set_entry(base, 2, 1, "true"), False),
+        "string": (_set_entry(base, 3, 0, '"0.5"'), False),
+        "nested-row": (_set_entry(base, 1, 2, "[0.5]"), False),
+        "deep-row": (_set_entry(base, 1, 2, deep), False),
+        "nan": (_set_entry(base, 2, 1, "NaN"), True),
+        "overflow": (_set_entry(base, 4, 3, "1e400"), True),
+        "negative": (_set_entry(base, 0, 0, "-0.25"), True),
+        "bad-header": (base.replace('"n_max": 3', '"n_max": 3.5'), True),
+    }
+    return {name: (text.encode("utf-8"), streamed) for name, (text, streamed) in layouts.items()}
+
+
+MATRIX_LAYOUTS = _matrix_layouts()
+
+
+class TestStreamedMatrixRead:
+    @pytest.mark.parametrize("name", list(MATRIX_LAYOUTS))
+    def test_streamed_read_agrees_with_whole_file_read(self, tmp_path, monkeypatch, name):
+        data, streamed = MATRIX_LAYOUTS[name]
+        path = tmp_path / "S.json"
+        path.write_bytes(data)
+        returned = []
+        stream = distio._stream_payload
+
+        def spy(p):
+            returned.append(stream(p))
+            return returned[-1]
+
+        monkeypatch.setattr(distio, "_stream_payload", spy)
+        try:
+            got = distio.read_matrix(path)
+        except ParseError as exc:
+            got = exc
+        assert (returned[0] is not None) == streamed
+        monkeypatch.setattr(distio, "_stream_payload", lambda p: None)  # the whole-file read
+        try:
+            want = distio.read_matrix(path)
+        except ParseError as exc:
+            assert isinstance(got, ParseError), got
+            assert str(got) == str(exc)
+            return
+        assert not isinstance(got, ParseError), got
+        reference = np.asarray(json.loads(data)["entries"], dtype=float, order="F")
+        assert got.entries.tobytes(order="A") == reference.tobytes(order="A")
+        assert got.entries.tobytes(order="A") == want.entries.tobytes(order="A")
+        assert got.entries.flags.f_contiguous
+        assert got.params == want.params
+
+    def test_spats_window_read_holds_about_two_matrices(self, tmp_path):
+        # the whole-file read held the 1.62 MB text and 70,912 Python floats
+        # beside their list slots, 6.8 times the entries
+        mat = build_response(DetectorParams(0.7764, 0.748), 276, 255)
+        path = tmp_path / "S.json"
+        distio.write_matrix(path, mat)
+        tracemalloc.start()
+        try:
+            back = distio.read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.entries.shape == (256, 277)
+        assert peak < 2.5 * back.entries.nbytes
+
+
 class TestPlotTable:
     def test_column_must_be_1d(self, tmp_path):
         with pytest.raises(ValueError, match=r"column 'b' must be a 1-d vector, got shape \(2, 2\)"):

@@ -1,8 +1,11 @@
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pnrecon.detector import (
     DetectorParams,
@@ -40,10 +43,11 @@ def test_raw_stream_reference_vector():
         755828109848996024,
         304881062738325533,
     ]
-    from pnrecon.sampling import _uniform_stream
+    from pnrecon.sampling import _word_stream
 
-    uniforms = np.concatenate(list(_uniform_stream(0, 4)))
-    assert uniforms.tolist() == [
+    words = np.concatenate(list(_word_stream(0, 4)))
+    assert words.dtype == np.uint64
+    assert (words * 2.0**-53).tolist() == [
         (r >> 11) * 2.0**-53 for r in raw.tolist()
     ]
 
@@ -84,7 +88,7 @@ class TestSampleCounts:
     @NOT_VECTORS
     def test_count_vector_must_be_1d(self, bad, monkeypatch):
         # unchecked, a 2x2 array was sampled as its flattened 4 entries
-        monkeypatch.setattr(sampling, "_uniform_stream", None)  # no draws
+        monkeypatch.setattr(sampling, "_word_stream", None)  # no draws
         with pytest.raises(ValueError, match=re.escape(
                 f"count vector must be a 1-d vector, got shape {np.shape(bad)}")):
             sample_counts(bad, SamplingConfig(10))
@@ -197,14 +201,14 @@ class TestChunkedStream:
         assert np.array_equal(got, _one_shot_counts(probs, events, 19))
 
     def test_chunks_concatenate_to_the_one_shot_stream(self):
-        from pnrecon.sampling import _uniform_stream
+        from pnrecon.sampling import _word_stream
 
         events = 2 * _CHUNK_EVENTS + 3
-        chunks = list(_uniform_stream(5, events))
+        chunks = list(_word_stream(5, events))
         assert [c.size for c in chunks] == [_CHUNK_EVENTS, _CHUNK_EVENTS, 3]
         raw = np.random.PCG64(5).random_raw(events)
         assert np.array_equal(
-            np.concatenate(chunks), (raw >> np.uint64(11)) * 2.0**-53
+            np.concatenate(chunks) * 2.0**-53, (raw >> np.uint64(11)) * 2.0**-53
         )
 
     @pytest.mark.parametrize(
@@ -229,12 +233,28 @@ class TestChunkedStream:
     def test_draw_equal_to_a_cdf_entry_lands_in_the_next_bin(self):
         # a tie u == cdf[m] never happens by chance: build cdf[1] from the
         # first draw of the stream so that it does
-        u0 = float(next(sampling._uniform_stream(11, 1))[0])
+        u0 = float(next(sampling._word_stream(11, 1))[0] * 2.0**-53)
         probs = np.array([u0 / 2, u0 / 2, 1.0 - u0])
         assert np.cumsum(probs / probs.sum())[1] == u0
         got = sample_counts(probs, SamplingConfig(events=1, seed=11))
         assert got.tolist() == [0.0, 0.0, 1.0]
         assert np.array_equal(got, _one_shot_counts(probs, 1, 11))
+
+    def test_draw_one_ulp_below_a_cdf_entry_lands_in_its_bin(self):
+        # below 1/2 a cdf entry one ulp above u = k / 2^53 sits strictly
+        # between k and k + 1 on the 2^-53 grid: its limit must round up
+        for seed in range(100):
+            u0 = float(next(sampling._word_stream(seed, 1))[0] * 2.0**-53)
+            c1 = float(np.nextafter(u0, 1.0))
+            probs = np.array([c1 / 2, c1 / 2, 1.0 - c1])
+            if u0 < 0.5 and np.cumsum(probs / probs.sum())[1] == c1 and c1 / 2 <= u0:
+                break
+        else:
+            pytest.fail("no seed below 100 gives such a first draw")
+        assert c1 * 2.0**53 != np.ceil(c1 * 2.0**53)
+        got = sample_counts(probs, SamplingConfig(events=1, seed=seed))
+        assert got.tolist() == [0.0, 1.0, 0.0]
+        assert np.array_equal(got, _one_shot_counts(probs, 1, seed))
 
     def test_memory_does_not_grow_with_events(self):
         # one-shot sampling of 2e6 events holds about 48 MB at once
@@ -246,6 +266,49 @@ class TestChunkedStream:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_memory_is_one_chunk_of_words(self):
+        # the uniforms used to sit beside their words and the shifted words,
+        # 2.17 MB here; now one 0.52 MB chunk of integer words is alive
+        dist = thermal(3.0, 1e-6).probs
+        sample_counts(dist, SamplingConfig(events=10, seed=1))  # first use imports
+        tracemalloc.start()
+        try:
+            sample_counts(dist, SamplingConfig(events=500_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8e6
+
+
+_TOP = 2**53  # the words k = word >> 11 lie in [0, 2^53)
+
+
+@st.composite
+def _cdf_value_and_word(draw):
+    """A cdf entry c in [0, 1 + 2^-52] and a word k, often at c * 2^53 or
+    one either side of it, where a tie or an off-by-one would show."""
+    c = draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52]),
+        st.floats(0.0, 1.0 + 2.0**-52),
+    ))
+    near = int(c * _TOP) + draw(st.integers(-1, 1))
+    k = draw(st.one_of(st.integers(0, _TOP - 1), st.just(min(max(near, 0), _TOP - 1))))
+    return c, k
+
+
+class TestIntegerLimits:
+    @given(_cdf_value_and_word())
+    @example((1.0 + 2.0**-52, _TOP - 1))
+    @example((0.5, _TOP // 2))  # a tie: k / 2^53 == c
+    @example((0.5, _TOP // 2 - 1))
+    @example((5e-324, 0))
+    def test_word_below_limit_exactly_when_uniform_below_cdf(self, case):
+        c, k = case
+        limit = np.ceil(np.array([c]) * 2.0**53).astype(np.uint64)[0]
+        below = bool(np.uint64(k) < limit)
+        assert below == (k * 2.0**-53 < c)
+        assert below == (Fraction(k, _TOP) < Fraction(c))  # exact arithmetic agrees
 
 
 class TestExpectedSamplingError:
