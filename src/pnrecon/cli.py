@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Each subcommand reads and writes the shared distribution formats so that
+Each subcommand writes JSON files and reads any accepted distribution
+format (a JSON array, a JSON object with "probs", or plain text), so that
 pipelines compose through files:
 
     pnrecon gen-state thermal --mean 30 --output p.json
@@ -58,7 +59,7 @@ def _cmd_gen_state(args) -> int:
     flags = dict(mean_n=args.mean, alpha_sq=args.alpha_sq, n=args.n, tail=args.tail)
     spec = {key: value for key, value in flags.items() if value is not None}
     dist = build_state({"kind": args.kind.replace("-", "_"), **spec})
-    distio.write_distribution(args.output, dist.probs, fmt=args.format)
+    distio.write_distribution(args.output, dist.probs)
     print(
         f"wrote {args.output} (n_max={dist.n_max}, "
         f"tail={dist.truncation_tail:.3g})"
@@ -81,7 +82,7 @@ def _cmd_forward(args) -> int:
     mat = distio.read_matrix(args.detector)
     photon = PhotonDistribution(distio.read_distribution(args.state)[0])
     counts = forward(mat, photon)
-    distio.write_distribution(args.output, counts, fmt=args.format)
+    distio.write_distribution(args.output, counts)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -98,7 +99,6 @@ def _cmd_sample(args) -> int:
             "seed": config.seed,
             "generator": GENERATOR_NAME,
         },
-        fmt=args.format,
     )
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -122,7 +122,7 @@ def _cmd_reconstruct(args) -> int:
     constraints = constraint_set("even" if args.even_support else None, mat.n_max + 1)
     report = solve(mat, counts, constraints, solver_config(options, counts, events))
     with distio._format_once():  # the report repeats the estimate
-        distio.write_distribution(args.output, report.estimate, fmt=args.format)
+        distio.write_distribution(args.output, report.estimate)
         if args.report:
             distio.write_json(args.report, report.as_dict())
     print(
@@ -136,7 +136,7 @@ def _cmd_invert_direct(args) -> int:
     params = DetectorParams(args.eta, args.noise)
     counts, _ = distio.read_counts(args.counts)
     estimate = direct_reconstruct(params, counts, args.n_max)
-    distio.write_distribution(args.output, estimate, fmt=args.format)
+    distio.write_distribution(args.output, estimate)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="photon number (fock)")
     p.add_argument("--tail", type=float, help="tail mass (thermal, spats, even-cat)")
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_gen_state)
 
     p = sub.add_parser("build-detector", help="build a response matrix")
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_forward)
 
     p = sub.add_parser("sample", help="simulate photocounting events")
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("reconstruct", help="projected Landweber reconstruction")
@@ -252,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--stagnation-tol", type=float)
     p.add_argument("--even-support", action="store_true")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser(
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--counts", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_invert_direct)
 
     p = sub.add_parser("metrics", help="error figures for an estimate")

@@ -164,22 +164,13 @@ def write_json(path, obj) -> None:
         file.write("\n")
 
 
-def write_distribution(path, values, metadata=None, fmt: str = "json") -> None:
-    """Write a distribution file.
-
-    fmt "json" produces a bare JSON array, or an object with a "probs"
-    array when metadata is supplied; fmt "csv" produces plain newline-
-    separated reals. All three forms are accepted back by the readers.
-    In either format ``values`` must be a 1-d vector: anything else
-    raises ValueError naming its shape, and no file is written.
+def write_distribution(path, values, metadata=None) -> None:
+    """Write a distribution file as JSON: a bare array, or an object with a
+    "probs" array when metadata is supplied. ``values`` must be a 1-d
+    vector: anything else raises ValueError naming its shape, and no file
+    is written.
     """
     values = _require_vector(values, "distribution")
-    if fmt == "csv":
-        lines = next(_format_rows(values, "\n"))
-        Path(path).write_text(lines + "\n", encoding="utf-8")
-        return
-    if fmt != "json":
-        raise ValueError(f"unknown format {fmt!r}")
     if metadata:
         if "probs" in metadata:
             raise ValueError('metadata key "probs" would replace the values')

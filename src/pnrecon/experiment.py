@@ -172,6 +172,9 @@ class ExperimentConfig:
         try:
             data = json.loads(json.dumps(payload))  # deep copy, JSON-clean
             _check_keys("config", data, _CONFIG_KEYS)
+            name = data.get("name", "experiment")
+            if not isinstance(name, str):
+                raise ConfigError(f"name must be a string, got {name!r}")
             for key in _OBJECT_KEYS:
                 if key in data and (data[key] is not None or key != "sampling"):
                     _require_object(key, data[key])
@@ -215,7 +218,7 @@ class ExperimentConfig:
         except (KeyError, TypeError, ValueError, OSError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(
-            name=str(data.get("name", "experiment")),
+            name=name,
             photon=photon,
             detector_true=det_true,
             detector_assumed=det_assumed,

@@ -334,17 +334,38 @@ class TestSubcommands:
         monkeypatch.setattr(parser, "parse_args", recorded)
         assert run_cli(
             "gen-state", "thermal", "--mean", "5", "--tail", "1e-8",
-            "--format", "csv", "--output", str(tmp_path / "p.csv"),
+            "--output", str(tmp_path / "p.json"),
         ) == 0
         assert run_cli(
             "build-detector", "--eta", "0.9", "--noise", "0.1",
             "--n-max", "3", "--output", str(tmp_path / "S.json"),
         ) == 0
         first, second = seen
-        assert (first.command, first.tail, first.format) == ("gen-state", 1e-8, "csv")
+        assert (first.command, first.tail, first.mean) == ("gen-state", 1e-8, 5.0)
         assert (second.command, second.tail) == ("build-detector", 1e-10)
         assert second.func is cli._cmd_build_detector
-        assert not any(hasattr(second, name) for name in ("kind", "mean", "format"))
+        assert not any(hasattr(second, name) for name in ("kind", "mean", "alpha_sq"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-state", "thermal", "--mean", "5"],
+            ["forward", "--detector", "S.json", "--state", "p.json"],
+            ["sample", "--counts", "P.json", "--events", "10"],
+            ["reconstruct", "--detector", "S.json", "--counts", "emp.json"],
+            ["invert-direct", "--eta", "0.9", "--noise", "0.1", "--n-max", "3",
+             "--counts", "emp.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_option_is_gone(self, tmp_path, capsys, argv):
+        # distribution files are JSON only: a text sample file would drop nu
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--output", str(out), "--format", "csv")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -646,6 +667,11 @@ class TestExitCodes:
             {"sampling": [["events", 2000], ["seed", 11]]},
             {"solver": [["max_iterations", 5000]]},
             {"constraints": [["support", None]]},
+            {"name": None},
+            {"name": 5},
+            {"name": ["a"]},
+            {"name": {"x": 1}},
+            {"name": True},
         ],
         ids=[
             "state-key-missing",
@@ -685,6 +711,11 @@ class TestExitCodes:
             "sampling-pairs",
             "solver-pairs",
             "constraints-pairs",
+            "name-null",
+            "name-int",
+            "name-list",
+            "name-object",
+            "name-bool",
         ],
     )
     def test_malformed_config_is_2_before_any_output(
@@ -1230,3 +1261,15 @@ class TestRunExperiment:
         del whole_report["provenance"]
         chained_report = json.loads(report.read_text())
         assert list(chained_report.items()) == list(whole_report.items())
+
+        # without --events, reconstruct takes nu from sample's file
+        rec_nu, report_nu = tmp_path / "rec_nu.json", tmp_path / "report_nu.json"
+        assert run_cli(
+            "reconstruct",
+            "--detector", str(det_rec), "--counts", str(emp),
+            "--max-iterations", "5000",
+            "--output", str(rec_nu), "--report", str(report_nu),
+        ) == 0
+        assert rec_nu.read_bytes() == rec.read_bytes()
+        assert report_nu.read_bytes() == report.read_bytes()
+        assert chained_report["stop_reason"] == "discrepancy"

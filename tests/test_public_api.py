@@ -1,6 +1,8 @@
 """The public surface: each module's ``__all__`` matches what it defines,
-and the README's library quick start runs as written."""
+the README's library quick start runs as written, and the README names
+every CLI flag."""
 
+import argparse
 import contextlib
 import importlib
 import inspect
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import pnrecon
+from pnrecon import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -53,3 +56,22 @@ def test_readme_quick_start_prints_the_stated_error():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert abs(float(out.getvalue()) - stated) <= 0.005
+
+
+def test_every_cli_flag_is_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {(parser.prog, flag) for a in parser._actions for flag in a.option_strings}
+    flags |= {
+        (name, flag)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings
+    }
+    missing = sorted(
+        (name, flag) for name, flag in flags
+        if flag.startswith("--") and flag != "--help"
+        and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)
+    )
+    assert missing == []
