@@ -120,15 +120,16 @@ def _cmd_reconstruct(args) -> int:
     }
     events = metadata.get("nu") if args.events is None else args.events
     constraints = constraint_set("even" if args.even_support else None, mat.n_max + 1)
-    report = solve(mat, counts, constraints, solver_config(options, counts, events))
+    config = solver_config(options, counts, events)
+    report = solve(mat, counts, constraints, config)
     with distio._format_once():  # the report repeats the estimate
         distio.write_distribution(args.output, report.estimate)
         if args.report:
             distio.write_json(args.report, report.as_dict())
-    print(
-        f"wrote {args.output} (iterations={report.iterations_run}, "
-        f"stop={report.stop_reason})"
-    )
+    unsourced = events is None and args.noise_level is None
+    print(f"wrote {args.output} (iterations={report.iterations_run}, stop={report.stop_reason}, "
+          f"noise_level={config.noise_level!r}"
+          + ("; no nu, --events or --noise-level: discrepancy stop off)" if unsourced else ")"))
     return EXIT_OK
 
 

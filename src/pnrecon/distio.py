@@ -17,9 +17,8 @@ writes one vector to several files formats it once; the memo is dropped
 when the block exits. A JSON write checks the whole object (non-finite
 values, unsupported types) before it opens the file, so a failed write
 leaves no file and an existing one untouched; it then streams the text a
-row at a time, needing about one row beyond the object. A matrix file in
-write_matrix's own layout is read a row line at a time, holding about two
-copies of the matrix; any other layout is read whole, to the same result.
+row at a time, needing about one row beyond the object. A matrix file must be
+in write_matrix's layout and is read a row line at a time (about two matrices).
 """
 
 from __future__ import annotations
@@ -197,62 +196,53 @@ def write_matrix(path, mat: ResponseMatrix) -> None:
     )
 
 
-def _require_numbers(rows) -> None:
-    """Reject a matrix entry that is not a JSON number (a bool, string, null
-    or list), naming the first by its (m, n); one type set over the entries
-    keeps a valid file cheap. Rows not all lists are left to the shape check."""
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        return
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        m, n, value = next((m, n, v) for m, row in enumerate(rows) for n, v in enumerate(row)
-                           if type(v) not in (int, float))
-        raise ValueError(f"entry {value!r} at (m, n) = ({m}, {n}) is not a JSON number")
+_LAYOUT = "line {} is not in the layout that pnrecon build-detector and distio.write_matrix write"
 
 
-def _stream_payload(path) -> dict | None:
-    """The payload of a file in write_matrix's layout: the lines before
-    '  "entries": [' by json.loads with "entries" empty, then each row line into
-    floats at once. None for any other layout, or a non-number or ragged row."""
+def _matrix_payload(path) -> dict:
+    """The payload of a file in write_matrix's layout: each row line into
+    floats at once, then the lines before '  "entries": [' by json.loads. Any
+    other layout, a non-number entry or a ragged row raises, naming it."""
     rows = []
     with Path(path).open(encoding="utf-8") as file:
-        try:
-            if file.readline(3) != "{\n":  # compact JSON would be parsed twice
-                return None
-            header = "".join(takewhile(lambda line: line != '  "entries": [\n', file))
-            payload = json.loads("{\n" + header + '  "entries": []\n}')
-            for line in file:
-                if not (line.startswith("    [") and line.endswith(("],\n", "]\n"))):
-                    return None
+        if file.readline(3) != "{\n":  # a compact file is one line: read no more of it
+            raise ValueError(_LAYOUT.format(1))
+        header = "".join(takewhile(lambda line: line != '  "entries": [\n', file))
+        lineno = 1 + header.count("\n")  # the last line before '  "entries": ['
+        for m, (lineno, line) in enumerate(enumerate(file, lineno + 2)):
+            if not (line.startswith("    [") and line.endswith(("],\n", "]\n"))):
+                raise ValueError(_LAYOUT.format(lineno))
+            try:
                 row = json.loads(line[4:].rstrip(",\n"))
-                if not set(map(type, row)) <= {int, float} or (rows and len(row) != rows[0].size):
-                    return None
+                if not set(map(type, row)) <= {int, float}:
+                    n = next(n for n, v in enumerate(row) if type(v) not in (int, float))
+                    raise TypeError(f"entry {row[n]!r} at (m, n) = ({m}, {n}) is not a JSON number")
                 rows.append(np.array(row, dtype=float))
-                if line.endswith("]\n"):
-                    break
-            if file.read().split() != ["]", "}"]:  # also when no row line ends the list
-                return None
-        except (ValueError, OverflowError, RecursionError):  # a decode error is a ValueError
-            return None
-    payload["entries"] = np.array(rows, order="F")
-    return payload
+            except (ValueError, OverflowError, RecursionError) as exc:  # a TypeError passes
+                raise ValueError(f"row m = {m} (line {lineno}): {exc}") from exc
+            if rows[-1].size != rows[0].size:
+                raise ValueError(f"row m = {m} has {rows[-1].size} entries, not {rows[0].size}")
+            if line.endswith("]\n"):
+                break
+        if file.read().split() != ["]", "}"]:  # also when no row line ends the list
+            raise ValueError(_LAYOUT.format(lineno + 1))
+    payload = json.loads("{\n" + header + '  "entries": []\n}')
+    return {**payload, "entries": np.array(rows, order="F")}
 
 
 def read_matrix(path) -> ResponseMatrix:
     try:
-        payload = _stream_payload(path) or json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = _matrix_payload(path)
         params = DetectorParams(payload["eta"], payload["n_noise"])
         m_max, n_max = (_require_integer(k, payload[k]) for k in ("m_max", "n_max"))
         if min(m_max, n_max) < 0:
             raise ValueError(f"m_max and n_max must be >= 0, got {m_max}, {n_max}")
-        _require_numbers(payload["entries"])
         mat = ResponseMatrix(payload["entries"], params)
+        if mat.entries.shape != (m_max + 1, n_max + 1):
+            raise ValueError(f"entries shape {mat.entries.shape} does not match declared "
+                             f"window m_max = {m_max}, n_max = {n_max}")
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"invalid response-matrix file {path}: {exc}") from exc
-    if mat.entries.shape != (m_max + 1, n_max + 1):
-        raise ParseError(
-            f"entries shape {mat.entries.shape} does not match declared window "
-            f"m_max = {m_max}, n_max = {n_max}"
-        )
     return mat
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,10 +89,14 @@ def _require_integer(name: str, value) -> int:
 
 def _require_real(name: str, value) -> float:
     """``value`` as a float; a bool, string or other non-number raises
-    TypeError naming it, a NaN or infinity ValueError."""
+    TypeError naming it, a NaN, infinity or overflowing integer ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the double range
+        raise ValueError(f"{name} is an integer beyond the double range") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
     return float(value)
 
@@ -221,6 +226,7 @@ def fock(n: int) -> PhotonDistribution:
     """Delta distribution concentrated at photon number n."""
     if _require_integer("n", n) < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    _check_window(n + 1)
     probs = np.zeros(n + 1)
     probs[n] = 1.0
     return PhotonDistribution(probs)
@@ -244,12 +250,13 @@ def parse_vector(text: str) -> tuple[np.ndarray, dict]:
                 raise ParseError('JSON object lacks a "probs" array')
             metadata = {k: v for k, v in payload.items() if k != "probs"}
             payload = payload["probs"]
-        if not isinstance(payload, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in payload
-        ):
+        if not isinstance(payload, list) or not set(map(type, payload)) <= {int, float}:
             raise ParseError("JSON payload is not an array of reals")
-        values = np.array(payload, dtype=float)
+        try:
+            values = np.array(payload, dtype=float)
+        except OverflowError:  # an integer beyond the double range
+            i = next(i for i, v in enumerate(payload) if abs(v) > sys.float_info.max)
+            raise ParseError(f"entry at index {i} is beyond the double range") from None
     else:
         try:
             values = np.array([float(t) for t in stripped.replace(",", " ").split()])

@@ -15,7 +15,7 @@ import pytest
 import pnrecon
 from pnrecon import cli, distio, experiment, states
 from pnrecon.cli import main
-from pnrecon.detector import DetectorParams
+from pnrecon.detector import DetectorParams, ResponseMatrix, build_response
 from pnrecon.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -26,6 +26,7 @@ from pnrecon.experiment import (
 )
 from pnrecon.inversion import direct_reconstruct
 from pnrecon.metrics import relative_residual
+from pnrecon.sampling import expected_sampling_error
 
 
 def run_cli(*argv) -> int:
@@ -93,6 +94,18 @@ README_CHAIN = [
 ]
 
 
+def set_matrix_entry(path, m: int, n: int, token: str) -> None:
+    """Replace entry (m, n) of a write_matrix file with the JSON token given."""
+    lines = path.read_text().split("\n")
+    row = lines.index('  "entries": [') + 1 + m
+    head, values = lines[row].split("[", 1)
+    tail = "]," if values.endswith("],") else "]"
+    cells = values[: -len(tail)].split(", ")
+    cells[n] = token
+    lines[row] = head + "[" + ", ".join(cells) + tail
+    path.write_text("\n".join(lines))
+
+
 SMALL_CONFIG = {
     "name": "small",
     "state": {"kind": "thermal", "mean_n": 5.0, "tail": 1e-8},
@@ -143,6 +156,29 @@ class TestSubcommands:
         assert keys.count(estimate.tobytes()) == 1
         assert json.loads(Path("solve.json").read_text())["estimate"] == estimate.tolist()
         assert distio._memo.get() is None
+
+    def test_reconstruct_prints_its_noise_level(self, tmp_path, capsys):
+        # counts without nu, --events or --noise-level get noise level 0, and
+        # with it no discrepancy stop; the printed line says so
+        det = tmp_path / "S.json"
+        assert run_cli(
+            "build-detector", "--eta", "0.9", "--noise", "0.1",
+            "--n-max", "3", "--m-max", "5", "--output", str(det),
+        ) == 0
+        probs = [0.5, 0.2, 0.2, 0.1, 0.0, 0.0]
+        (tmp_path / "P.txt").write_text(" ".join(map(str, probs)))
+        distio.write_distribution(tmp_path / "P.json", probs, metadata={"nu": 1000})
+        argv = ["reconstruct", "--detector", str(det), "--max-iterations", "50",
+                "--output", str(tmp_path / "p.json")]
+        capsys.readouterr()
+        assert run_cli(*argv, "--counts", str(tmp_path / "P.txt")) == 0
+        assert capsys.readouterr().out.endswith(
+            "stop=max_iterations, noise_level=0.0; "
+            "no nu, --events or --noise-level: discrepancy stop off)\n"
+        )
+        assert run_cli(*argv, "--counts", str(tmp_path / "P.json")) == 0
+        noise = expected_sampling_error(np.array(probs), 1000)
+        assert capsys.readouterr().out.endswith(f", noise_level={noise!r})\n")
 
     def test_gen_state_missing_parameter_is_config_error(self, tmp_path):
         out = tmp_path / "state.json"
@@ -477,8 +513,7 @@ class TestExitCodes:
             "build-detector", "--eta", "0.9", "--noise", "0.1",
             "--n-max", "3", "--m-max", "5", "--output", str(det),
         ) == 0
-        payload = json.loads(det.read_text())
-        det.write_text(json.dumps({**payload, "m_max": 5.0}))
+        det.write_text(det.read_text().replace('"m_max": 5,', '"m_max": 5.0,'))
         distio.write_distribution(counts, [0.5, 0.2, 0.2, 0.1, 0.0, 0.0])
         capsys.readouterr()
         code = run_cli(
@@ -493,6 +528,7 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError"
         assert str(det) in err["message"]
+        assert "m_max must be an integer, got 5.0" in err["message"]
 
     def test_non_finite_photon_vector_rejected_before_forward(
         self, tmp_path, capsys
@@ -544,18 +580,16 @@ class TestExitCodes:
         assert err["message"] == "negative probability -0.1 at index 1"
 
     @staticmethod
-    def reconstruct_with_bad_entry(tmp_path, capsys, value):
-        """reconstruct on a detector file whose entry (4, 2) is ``value``:
-        the exit code and the error record."""
+    def reconstruct_with_bad_entry(tmp_path, capsys, token):
+        """reconstruct on a detector file whose entry (4, 2) is the JSON
+        token ``token``: the exit code and the error record."""
         det = tmp_path / "S.json"
         counts = tmp_path / "P.json"
         assert run_cli(
             "build-detector", "--eta", "0.9", "--noise", "0.1",
             "--n-max", "3", "--m-max", "5", "--output", str(det),
         ) == 0
-        payload = json.loads(det.read_text())
-        payload["entries"][4][2] = value
-        det.write_text(json.dumps(payload))  # json writes the NaN token
+        set_matrix_entry(det, 4, 2, token)
         distio.write_distribution(counts, [0.5, 0.2, 0.2, 0.1, 0.0, 0.0])
         capsys.readouterr()
         code = run_cli(
@@ -571,7 +605,7 @@ class TestExitCodes:
         return code, json.loads(capsys.readouterr().err)
 
     def test_non_finite_matrix_rejected_before_solve(self, tmp_path, capsys):
-        code, err = self.reconstruct_with_bad_entry(tmp_path, capsys, float("nan"))
+        code, err = self.reconstruct_with_bad_entry(tmp_path, capsys, "NaN")
         assert code == 2
         assert err["stage"] == "reconstruct"
         assert err["error"] == "ParseError"
@@ -579,7 +613,7 @@ class TestExitCodes:
 
     def test_negative_matrix_entry_rejected_before_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "solve", None)  # a call would raise TypeError
-        code, err = self.reconstruct_with_bad_entry(tmp_path, capsys, -1e-3)
+        code, err = self.reconstruct_with_bad_entry(tmp_path, capsys, "-0.001")
         assert code == 2
         assert err["stage"] == "reconstruct"
         assert err["error"] == "ParseError"
@@ -588,12 +622,8 @@ class TestExitCodes:
     def test_matrix_norm_bound_overflow_is_2(self, tmp_path, capsys):
         det = tmp_path / "S.json"
         counts = tmp_path / "P.json"
-        assert run_cli(
-            "build-detector", "--eta", "0.9", "--noise", "0.1",
-            "--n-max", "3", "--m-max", "5", "--output", str(det),
-        ) == 0
-        payload = json.loads(det.read_text())
-        det.write_text(json.dumps({**payload, "entries": [[1e308] * 4] * 6}))
+        # finite entries whose sums overflow make a valid matrix file
+        distio.write_matrix(det, ResponseMatrix(np.full((6, 4), 1e308), DetectorParams(0.9, 0.1)))
         distio.write_distribution(counts, [0.5, 0.2, 0.2, 0.1, 0.0, 0.0])
         capsys.readouterr()
         code = run_cli(
@@ -672,6 +702,7 @@ class TestExitCodes:
             {"name": ["a"]},
             {"name": {"x": 1}},
             {"name": True},
+            {"state": {"kind": "even_cat", "alpha_sq": 10**400}},
         ],
         ids=[
             "state-key-missing",
@@ -716,6 +747,7 @@ class TestExitCodes:
             "name-list",
             "name-object",
             "name-bool",
+            "cat-alpha-beyond-double",
         ],
     )
     def test_malformed_config_is_2_before_any_output(
@@ -836,6 +868,12 @@ class TestExitCodes:
         assert not (tmp_path / "p.json").exists()
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "sanity cap of 100" in err["message"]
+        # fock allocated its window unchecked: --n 1e11 ended in a 745 GiB MemoryError
+        code = run_cli("gen-state", "fock", "--n", "100", "--output", str(tmp_path / "p.json"))
+        assert code == 2
+        assert not (tmp_path / "p.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "sanity cap of 100" in err["message"]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
             {**SMALL_CONFIG, "state": {"kind": "thermal", "mean_n": 1e3}}))
@@ -923,12 +961,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv, error",
-        [(["forward", "--detector", "{deep}", "--state", "{good}", "--output", "{out}"],
+        [(["forward", "--detector", "{deep_matrix}", "--state", "{good}", "--output", "{out}"],
           "ParseError"),
          (["sample", "--counts", "{deep}", "--events", "10", "--output", "{out}"], "ParseError"),
          (["metrics", "--estimate", "{deep}", "--truth", "{good}", "--output", "{out}"],
           "ParseError"),
-         (["metrics", "--estimate", "{good}", "--truth", "{good}", "--detector", "{deep}",
+         (["metrics", "--estimate", "{good}", "--truth", "{good}", "--detector", "{deep_matrix}",
            "--measured", "{good}", "--output", "{out}"], "ParseError"),
          (["run", "--config", "{deep}", "--output", "{out}"], "ConfigError"),
          (["run", "--config", "{cfg}", "--output", "{out}"], "ConfigError")],
@@ -938,8 +976,12 @@ class TestExitCodes:
     def test_deeply_nested_json_is_2(self, tmp_path, capsys, argv, error):
         # json.loads raises RecursionError on 1e5 nested arrays, which used
         # to escape main as a traceback with exit code 1
-        paths = {name: tmp_path / f"{name}.json" for name in ("deep", "good", "cfg", "out")}
+        names = ("deep", "deep_matrix", "good", "cfg", "out")
+        paths = {name: tmp_path / f"{name}.json" for name in names}
         paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
+        # a matrix file in write_matrix's layout whose row m = 1 is that deep
+        distio.write_matrix(paths["deep_matrix"], build_response(DetectorParams(0.9, 0.1), 1, 2))
+        set_matrix_entry(paths["deep_matrix"], 1, 0, "[" * 100_000 + "]" * 100_000)
         distio.write_distribution(paths["good"], [0.5, 0.5])
         paths["cfg"].write_text(
             json.dumps({**SMALL_CONFIG, "state": {"kind": "file", "path": str(paths["deep"])}})
@@ -951,8 +993,44 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["stage"] == argv[0]
         assert err["error"] == error
-        assert str(paths["deep"]) in err["message"]
+        deep = paths["deep_matrix" if "{deep_matrix}" in argv else "deep"]
+        assert str(deep) in err["message"]
         assert "recursion" in err["message"]
+
+
+    @pytest.mark.parametrize(
+        "argv, bad, message",
+        [(["forward", "--detector", "{det}", "--state", "{big}", "--output", "{out}"],
+          "big", "entry at index 1 is beyond the double range"),
+         (["forward", "--detector", "{big_matrix}", "--state", "{good}", "--output", "{out}"],
+          "big_matrix", "row m = 1 (line 8): int too large to convert to float"),
+         (["sample", "--counts", "{big}", "--events", "10", "--output", "{out}"],
+          "big", "entry at index 1 is beyond the double range"),
+         (["reconstruct", "--detector", "{det}", "--counts", "{big}", "--output", "{out}"],
+          "big", "entry at index 1 is beyond the double range"),
+         (["metrics", "--estimate", "{big}", "--truth", "{good}", "--output", "{out}"],
+          "big", "entry at index 1 is beyond the double range")],
+        ids=["forward-state", "forward-detector", "sample", "reconstruct", "metrics"],
+    )
+    def test_integer_beyond_the_double_range_is_2(self, tmp_path, capsys, argv, bad, message):
+        # float() of a 401-digit JSON integer raised OverflowError, which
+        # exited 3 as a numerical failure without naming the file
+        names = ("det", "big", "big_matrix", "good", "out")
+        paths = {name: tmp_path / f"{name}.json" for name in names}
+        huge = "1" + "0" * 400
+        assert run_cli("build-detector", "--eta", "0.9", "--noise", "0.1", "--n-max", "1",
+                       "--m-max", "1", "--output", str(paths["det"])) == 0
+        paths["big"].write_text(f"[0.5, {huge}]")
+        paths["big_matrix"].write_text(paths["det"].read_text())
+        set_matrix_entry(paths["big_matrix"], 1, 0, huge)
+        distio.write_distribution(paths["good"], [0.5, 0.5])
+        capsys.readouterr()
+        code = run_cli(*(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert not paths["out"].exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].endswith(f"file {paths[bad]}: {message}")
 
 
 class TestRunExperiment:

@@ -431,53 +431,48 @@ class TestMatrixFiles:
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "S.json"
-        path.write_text(
-            '{"eta": 0.5, "n_noise": 0.0, "n_max": 2, "m_max": 1,'
-            ' "entries": [[1.0, 0.0, 0.0]]}'
-        )
-        with pytest.raises(ParseError):
+        path.write_text(_matrix_text([[1.0, 0.0, 0.0]], n_max="2", m_max="1"))
+        with pytest.raises(ParseError, match=re.escape(
+                f"file {path}: entries shape (1, 3) does not match declared window "
+                "m_max = 1, n_max = 2")):
             distio.read_matrix(path)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_entry_rejected(self, tmp_path, token):
         path = tmp_path / "S.json"
         path.write_text(
-            '{"eta": 0.5, "n_noise": 0.0, "n_max": 2, "m_max": 1,'
-            f' "entries": [[1.0, 0.5, 0.25], [0.0, 0.5, {token}]]}}'
+            _matrix_text([[1.0, 0.5, 0.25], [0.0, 0.5, token]], n_max="2", m_max="1")
         )
-        with pytest.raises(ParseError, match=r"at \(m, n\) = \(1, 2\)"):
+        with pytest.raises(ParseError, match=r"non-finite entry .* at \(m, n\) = \(1, 2\)"):
             distio.read_matrix(path)
 
     @pytest.mark.parametrize(
         "entries,bad",
-        [("[[true, false], [false, true]]", r"entry True at \(m, n\) = \(0, 0\)"),
-         ('[[0.5, 0.1], [0.5, "0.9"]]', r"entry '0.9' at \(m, n\) = \(1, 1\)"),
-         ("[[0.5, 0.1], [null, 0.9]]", r"entry None at \(m, n\) = \(1, 0\)")],
+        [([["true", "false"], ["false", "true"]], r"entry True at \(m, n\) = \(0, 0\)"),
+         ([[0.5, 0.1], [0.5, '"0.9"']], r"entry '0.9' at \(m, n\) = \(1, 1\)"),
+         ([[0.5, 0.1], ["null", 0.9]], r"entry None at \(m, n\) = \(1, 0\)")],
         ids=["bool", "string", "null"],
     )
     def test_entry_that_is_not_a_number_rejected(self, tmp_path, entries, bad):
         path = tmp_path / "S.json"
-        path.write_text(
-            '{"eta": 0.5, "n_noise": 0.0, "n_max": 1, "m_max": 1,'
-            f' "entries": {entries}}}'
-        )
+        path.write_text(_matrix_text(entries, n_max="1", m_max="1"))
         with pytest.raises(ParseError, match=bad + " is not a JSON number"):
             distio.read_matrix(path)
 
     @pytest.mark.parametrize(
-        "entries, bad",
-        [("[0.5, 0.5]", r"2-d matrix, got shape \(2,\)"),
-         ("0.5", r"2-d matrix, got shape \(\)"),
-         ("[[1.0, 0.0], 0.5]", "inhomogeneous shape")],
+        "entries, line",
+        [("[\n    0.5,\n    0.5\n  ]", 7), ("0.5", 8), ("[\n    [1.0, 0.0],\n    0.5\n  ]", 8)],
         ids=["vector", "scalar", "mixed-rows"],
     )
-    def test_entries_not_a_list_of_lists_rejected(self, tmp_path, entries, bad):
+    def test_entries_not_a_list_of_lists_rejected(self, tmp_path, entries, line):
+        # the header lines of write_matrix's layout, then entries that are
+        # not one row of numbers per line; a file with no '  "entries": ['
+        # line is refused at its end
         path = tmp_path / "S.json"
-        path.write_text(
-            '{"eta": 0.5, "n_noise": 0.0, "n_max": 1, "m_max": 1,'
-            f' "entries": {entries}}}'
-        )
-        with pytest.raises(ParseError, match=bad):
+        path.write_text(_matrix_text([[0.5, 0.5]], n_max="1", m_max="1").replace(
+            '"entries": [\n    [0.5, 0.5]\n  ]', f'"entries": {entries}'))
+        with pytest.raises(ParseError, match=re.escape(f"file {path}: line {line} is not in the "
+                                                       "layout that pnrecon build-detector")):
             distio.read_matrix(path)
 
     def test_garbage_rejected(self, tmp_path):
@@ -498,12 +493,19 @@ class TestMatrixFiles:
         # each shape matches its window as numbers (5.0 + 1 == 6, True + 1
         # == 2, -1 + 1 == 0 columns): only the integer rule rejects them
         path = tmp_path / "S.json"
-        path.write_text(
-            f'{{"eta": 0.5, "n_noise": 0.0, "n_max": {n_max},'
-            f' "m_max": {m_max}, "entries": {entries}}}'
-        )
-        with pytest.raises(ParseError, match=re.escape(f"file {path}:")):
+        path.write_text(_matrix_text(entries, n_max=n_max, m_max=m_max))
+        with pytest.raises(ParseError,
+                           match=re.escape(f"file {path}: ") + r"(m_max|n_max|m_max and n_max) must"):
             distio.read_matrix(path)
+
+
+def _matrix_text(entries: list, n_max: str, m_max: str) -> str:
+    """Text in write_matrix's layout (eta 0.5, no noise) with the declared
+    window and the entries written as the JSON tokens given, one row per line."""
+    rows = ",\n".join("    [" + ", ".join(map(str, row)) + "]" for row in entries)
+    return ('{\n  "eta": 0.5,\n  "n_noise": 0.0,\n'
+            f'  "n_max": {n_max},\n  "m_max": {m_max},\n'
+            '  "entries": [\n' + rows + "\n  ]\n}\n")
 
 
 def _set_entry(text: str, m: int, n: int, token: str) -> str:
@@ -518,38 +520,48 @@ def _set_entry(text: str, m: int, n: int, token: str) -> str:
     return "\n".join(lines)
 
 
+LAYOUT_FAULT = "line {} is not in the layout that pnrecon build-detector and distio.write_matrix"
+
+
 def _matrix_layouts() -> dict:
-    """name -> (file bytes, whether read_matrix streams it)."""
+    """name -> (file bytes, the error read_matrix raises after naming the
+    file, as a regex, or None where it reads the file)."""
     mat = build_response(DetectorParams(0.5, 0.1), 3, 4)
     base = distio.dumps({"eta": 0.5, "n_noise": 0.1, "n_max": 3, "m_max": 4,
                          "entries": mat.entries}) + "\n"
     payload = json.loads(base)
     deep = "[" * 100_000 + "]" * 100_000
     layouts = {
-        "write-matrix": (base, True),
-        "crlf": (base.replace("\n", "\r\n"), True),
-        "compact": (json.dumps(payload), False),
-        "one-number-per-line": (json.dumps(payload, indent=2), False),
-        "missing-comma": (base.replace("],\n    [", "]\n    [", 1), False),
-        "doubled-comma": (base.replace("],\n    [", "],,\n    [", 1), False),
-        "trailing-comma": (base.replace("]\n  ]\n}", "],\n  ]\n}"), False),
-        "key-after-entries": (base.replace("\n  ]\n}", '\n  ],\n  "note": 1\n}'), False),
+        "write-matrix": (base, None),
+        "crlf": (base.replace("\n", "\r\n"), None),
+        "compact": (json.dumps(payload), LAYOUT_FAULT.format(1)),
+        "one-number-per-line": (json.dumps(payload, indent=2), LAYOUT_FAULT.format(7)),
+        "missing-comma": (base.replace("],\n    [", "]\n    [", 1), LAYOUT_FAULT.format(8)),
+        "doubled-comma": (base.replace("],\n    [", "],,\n    [", 1), LAYOUT_FAULT.format(7)),
+        "trailing-comma": (base.replace("]\n  ]\n}", "],\n  ]\n}"), LAYOUT_FAULT.format(12)),
+        "key-after-entries": (base.replace("\n  ]\n}", '\n  ],\n  "note": 1\n}'),
+                              LAYOUT_FAULT.format(12)),
         "duplicate-entries-before": (
-            base.replace('  "entries": [\n', '  "entries": [[0.5]],\n  "entries": [\n'), True),
-        "duplicate-entries-after": (
-            base.replace("\n  ]\n}", '\n  ],\n  "entries": [[0.5]]\n}'), False),
-        "entries-empty": (json.dumps({**payload, "entries": []}, indent=2), False),
-        "ragged-row": (_set_entry(base, 2, 1, "0.5, 0.5"), False),
-        "non-number": (_set_entry(base, 2, 1, "true"), False),
-        "string": (_set_entry(base, 3, 0, '"0.5"'), False),
-        "nested-row": (_set_entry(base, 1, 2, "[0.5]"), False),
-        "deep-row": (_set_entry(base, 1, 2, deep), False),
-        "nan": (_set_entry(base, 2, 1, "NaN"), True),
-        "overflow": (_set_entry(base, 4, 3, "1e400"), True),
-        "negative": (_set_entry(base, 0, 0, "-0.25"), True),
-        "bad-header": (base.replace('"n_max": 3', '"n_max": 3.5'), True),
+            base.replace('  "entries": [\n', '  "entries": [[0.5]],\n  "entries": [\n'), None),
+        "duplicate-entries-after": (base.replace("\n  ]\n}", '\n  ],\n  "entries": [[0.5]]\n}'),
+                                    LAYOUT_FAULT.format(12)),
+        "entries-empty": (json.dumps({**payload, "entries": []}, indent=2),
+                          LAYOUT_FAULT.format(7)),
+        "ragged-row": (_set_entry(base, 2, 1, "0.5, 0.5"), "row m = 2 has 5 entries, not 4"),
+        "non-number": (_set_entry(base, 2, 1, "true"), "entry True at (m, n) = (2, 1) is not"),
+        "string": (_set_entry(base, 3, 0, '"0.5"'), "entry '0.5' at (m, n) = (3, 0) is not"),
+        "nested-row": (_set_entry(base, 1, 2, "[0.5]"), "entry [0.5] at (m, n) = (1, 2) is not"),
+        "deep-row": (_set_entry(base, 1, 2, deep),
+                     "row m = 1 (line 8): maximum recursion depth exceeded"),
+        "nan": (_set_entry(base, 2, 1, "NaN"), "non-finite entry nan at (m, n) = (2, 1)"),
+        "overflow": (_set_entry(base, 4, 3, "1e400"), "non-finite entry inf at (m, n) = (4, 3)"),
+        "integer-overflow": (_set_entry(base, 3, 2, "1" + "0" * 400),
+                             "row m = 3 (line 10): int too large to convert to float"),
+        "negative": (_set_entry(base, 0, 0, "-0.25"), "negative entry -0.25 at (m, n) = (0, 0)"),
+        "bad-header": (base.replace('"n_max": 3', '"n_max": 3.5'),
+                       "n_max must be an integer, got 3.5"),
     }
-    return {name: (text.encode("utf-8"), streamed) for name, (text, streamed) in layouts.items()}
+    return {name: (text.encode("utf-8"), error) for name, (text, error) in layouts.items()}
 
 
 MATRIX_LAYOUTS = _matrix_layouts()
@@ -557,36 +569,20 @@ MATRIX_LAYOUTS = _matrix_layouts()
 
 class TestStreamedMatrixRead:
     @pytest.mark.parametrize("name", list(MATRIX_LAYOUTS))
-    def test_streamed_read_agrees_with_whole_file_read(self, tmp_path, monkeypatch, name):
-        data, streamed = MATRIX_LAYOUTS[name]
+    def test_only_write_matrix_layout_reads(self, tmp_path, name):
+        data, error = MATRIX_LAYOUTS[name]
         path = tmp_path / "S.json"
         path.write_bytes(data)
-        returned = []
-        stream = distio._stream_payload
-
-        def spy(p):
-            returned.append(stream(p))
-            return returned[-1]
-
-        monkeypatch.setattr(distio, "_stream_payload", spy)
-        try:
-            got = distio.read_matrix(path)
-        except ParseError as exc:
-            got = exc
-        assert (returned[0] is not None) == streamed
-        monkeypatch.setattr(distio, "_stream_payload", lambda p: None)  # the whole-file read
-        try:
-            want = distio.read_matrix(path)
-        except ParseError as exc:
-            assert isinstance(got, ParseError), got
-            assert str(got) == str(exc)
+        if error is not None:
+            with pytest.raises(ParseError, match=re.escape(
+                    f"invalid response-matrix file {path}: {error}")):
+                distio.read_matrix(path)
             return
-        assert not isinstance(got, ParseError), got
-        reference = np.asarray(json.loads(data)["entries"], dtype=float, order="F")
-        assert got.entries.tobytes(order="A") == reference.tobytes(order="A")
-        assert got.entries.tobytes(order="A") == want.entries.tobytes(order="A")
-        assert got.entries.flags.f_contiguous
-        assert got.params == want.params
+        back = distio.read_matrix(path)
+        mat = build_response(DetectorParams(0.5, 0.1), 3, 4)
+        assert back.entries.tobytes(order="A") == mat.entries.tobytes(order="A")
+        assert back.entries.flags.f_contiguous
+        assert back.params == mat.params
 
     def test_spats_window_read_holds_about_two_matrices(self, tmp_path):
         # the whole-file read held the 1.62 MB text and 70,912 Python floats
@@ -602,6 +598,23 @@ class TestStreamedMatrixRead:
             tracemalloc.stop()
         assert back.entries.shape == (256, 277)
         assert peak < 2.5 * back.entries.nbytes
+
+    def test_spats_window_with_a_bad_last_row_is_refused_in_one_pass(self, tmp_path):
+        # a file refused by the row reader was parsed again whole, peaking
+        # at 6.8 times the entries before it was refused
+        mat = build_response(DetectorParams(0.7764, 0.748), 276, 255)
+        path = tmp_path / "S.json"
+        distio.write_matrix(path, mat)
+        path.write_text(_set_entry(path.read_text(), 255, 0, '"x"'))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=re.escape(
+                    f"file {path}: entry 'x' at (m, n) = (255, 0) is not a JSON number")):
+                distio.read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * mat.entries.nbytes
 
 
 class TestPlotTable:

@@ -59,6 +59,9 @@ class TestThermal:
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="mean_n must be finite"):
                 thermal(value)
+        # float(10**400) raised OverflowError, which the CLI reported as exit 3
+        with pytest.raises(ValueError, match="mean_n is an integer beyond the double range"):
+            thermal(10**400)
 
 
 class TestSpats:
@@ -120,6 +123,16 @@ class TestFock:
     def test_non_integer_rejected(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
             fock(n)
+
+    def test_window_past_the_sanity_cap_rejected_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="sanity cap of 10000000 entries"):
+                fock(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 @pytest.mark.parametrize("tail", [1e-6, 1e-10])
@@ -364,9 +377,10 @@ class TestFromFile:
          ('{"p": [0.5, 0.5]}', 'JSON object lacks a "probs" array'),
          ('[0.5, "0.5"]', "JSON payload is not an array of reals"),
          ("[true, false]", "JSON payload is not an array of reals"),
-         ('{"probs": 1.0}', "JSON payload is not an array of reals")],
+         ('{"probs": 1.0}', "JSON payload is not an array of reals"),
+         ("[0.5, 1" + "0" * 400 + "]", "entry at index 1 is beyond the double range")],
         ids=["invalid-json", "object-without-probs", "string-entry", "bool-entries",
-             "probs-not-an-array"],
+             "probs-not-an-array", "integer-beyond-double"],
     )
     def test_malformed_json_rejected(self, tmp_path, text, message):
         path = tmp_path / "d.json"
